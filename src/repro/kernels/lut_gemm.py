@@ -4,14 +4,25 @@ Functional semantics
 --------------------
 ``lut_gemm(activations, weights)`` computes ``A @ W`` for an ``[M, K]``
 activation tensor and a ``[K, N]`` weight tensor, both
-:class:`~repro.quant.tensor.QuantizedTensor`.  On the device everything
-happens in LUT-index space: weights are bit-packed (OP), each packed byte
-addresses the reordering LUT (RC) to recover per-element weight indices,
-and each (weight index, activation index) pair addresses the canonical
-LUT (LC) whose entry is accumulated.  For integer codec pairs the
-accumulator is exact ``int64`` and **bit-identical** to the numpy integer
-matmul of the zero-point-corrected codes; scales are applied once per
-output at the host.
+:class:`~repro.quant.tensor.QuantizedTensor`.  The host emulation works
+on packed weight bytes, as the device does.  Weights are bit-packed (OP):
+byte ``j`` of a column holds the ``epb = 8 / bits`` weight indices of
+K positions ``j*epb .. j*epb + epb - 1``.  For each activation row and
+each byte group ``j`` the kernel builds one 256-entry slice
+
+    ``G[j, b] = sum_s clut.table[slot_table[b, s], a_idx[j*epb + s]]``
+
+where ``slot_table[b, s]`` is the weight index in slot ``s`` of byte
+value ``b`` — the reordering LUT (RC) itself, or the shift/mask decode
+of the 256 byte values under ``software_reorder``.  Each packed byte
+then costs one lookup, ``G[j, packed[j, n]]``, and the slice is reused
+across all N columns: the host analogue of the paper's operation
+packing (several MACs per lookup) and of streaming only the relevant
+LUT slice.  Padded tail slots of a ragged K add zero.  For integer codec
+pairs the accumulator is exact ``int64`` and **bit-identical** to the
+numpy integer matmul of the zero-point-corrected codes; scales are
+applied once per output at the host.  The stats do not depend on this
+emulation: they come from the shared analytic :func:`_lut_cost_stats`.
 
 Cost semantics
 --------------
@@ -35,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.kernels.lut import CanonicalLut, ReorderingLut
-from repro.kernels.packing import elems_per_byte, pack_codes, unpack_codes
+from repro.kernels.packing import elems_per_byte, pack_codes
 from repro.pim.buffer import BufferOverflowError
 from repro.pim.upmem import ExecutionStats, UpmemSystem
 from repro.quant.tensor import QuantizedTensor
@@ -90,14 +101,32 @@ def _code_bytes(bits: int) -> int:
     return (bits + 7) // 8
 
 
-def _accumulate(clut: CanonicalLut, w_idx: np.ndarray, a_idx: np.ndarray) -> np.ndarray:
-    """Row-at-a-time LUT gather-and-accumulate (the DPU inner loop)."""
-    m = a_idx.shape[0]
-    n = w_idx.shape[1]
-    acc = np.zeros((m, n), dtype=clut.table.dtype)
+def _accumulate(
+    clut: CanonicalLut, slot_table: np.ndarray, packed: np.ndarray, a_idx: np.ndarray
+) -> np.ndarray:
+    """Byte-group LUT accumulate: one lookup per packed weight byte.
+
+    ``slot_table`` is ``[256, epb]`` (byte value, slot) → weight index;
+    ``packed`` is ``[Kb, N]`` ``uint8``; ``a_idx`` is ``[M, K]``.
+    """
+    m, k = a_idx.shape
+    kb, n = packed.shape
+    epb = slot_table.shape[1]
+    la = clut.table.shape[1]
+    # entries[s, a, b]: product of slot s of byte b with activation index
+    # a.  Activation index ``la`` is an all-zero row, so the padded tail
+    # slots of a ragged K add nothing (weight index 0 is not a zero).
+    entries = np.zeros((epb, la + 1, 256), dtype=clut.table.dtype)
+    entries[:, :la] = clut.table[slot_table.T].transpose(0, 2, 1)
+    a_groups = np.full((m, kb * epb), la, dtype=np.intp)
+    a_groups[:, :k] = a_idx
+    a_groups = a_groups.reshape(m, kb, epb)
+    slots = np.arange(epb)
+    gather = (np.arange(kb, dtype=np.intp) * 256)[:, None] + packed
+    acc = np.empty((m, n), dtype=clut.table.dtype)
     for row in range(m):
-        entries = clut.table[w_idx, a_idx[row][:, None]]
-        acc[row] = entries.sum(axis=0)
+        g = entries[slots, a_groups[row]].sum(axis=1)  # [Kb, 256]
+        acc[row] = g.ravel().take(gather).sum(axis=0)
     return acc
 
 
@@ -233,23 +262,24 @@ def lut_gemm(
     """
     system = system if system is not None else UpmemSystem()
     m, k, n = _check_operands(activations, weights)
-
-    # --- functional path -------------------------------------------------
-    a_idx = activations.indices()
-    w_idx_ref = weights.indices()
-    packed = pack_codes(w_idx_ref, weights.bits)
-    if software_reorder:
-        rlut = None
-        w_idx = unpack_codes(packed, weights.bits, k)
-    else:
-        rlut = ReorderingLut.build(weights.bits)
-        w_idx = rlut.decode(packed, k)
+    rlut = None if software_reorder else ReorderingLut.build(weights.bits)
     clut = CanonicalLut.build(weights, activations)
-    acc = _accumulate(clut, w_idx, a_idx)
-    output = acc.astype(np.float64) * (activations.scale * weights.scale)
 
     # --- cost path (critical-path DPU, N partitioned column-wise) --------
+    # First, so a scheme whose LUTs overflow WRAM fails before any
+    # functional work.
     stats = _lut_cost_stats(
         system, clut, rlut, weights.bits, activations.bits, m, k, n, software_reorder
     )
+
+    # --- functional path -------------------------------------------------
+    packed = pack_codes(weights.indices(), weights.bits)
+    if software_reorder:
+        # Shift/mask decode of every byte value, slot by slot.
+        shifts = np.arange(elems_per_byte(weights.bits)) * weights.bits
+        slot_table = (np.arange(256)[:, None] >> shifts) & (2**weights.bits - 1)
+    else:
+        slot_table = rlut.table
+    acc = _accumulate(clut, slot_table, packed, activations.indices())
+    output = acc.astype(np.float64) * (activations.scale * weights.scale)
     return GemmResult(output=output, accumulator=acc, stats=stats)

@@ -49,15 +49,15 @@ def pack_codes(indices: np.ndarray, bits: int) -> np.ndarray:
     if indices.size and (indices.min() < 0 or indices.max() >= 2**bits):
         raise ValueError(f"indices out of range for {bits}-bit codes")
     k = indices.shape[0]
-    k_padded = -(-k // epb) * epb
-    if k_padded != k:
-        pad = np.zeros((k_padded - k,) + indices.shape[1:], dtype=indices.dtype)
-        indices = np.concatenate([indices, pad], axis=0)
-    grouped = indices.reshape((k_padded // epb, epb) + indices.shape[1:])
-    packed = np.zeros((k_padded // epb,) + indices.shape[1:], dtype=np.uint16)
-    for slot in range(epb):
-        packed |= (grouped[:, slot].astype(np.uint16) & (2**bits - 1)) << (slot * bits)
-    return packed.astype(np.uint8)
+    kb = -(-k // epb)
+    # In range, so every index fits a byte; pack in uint8 throughout.
+    grouped = np.zeros((kb * epb,) + indices.shape[1:], dtype=np.uint8)
+    grouped[:k] = indices
+    grouped = grouped.reshape((kb, epb) + indices.shape[1:])
+    packed = grouped[:, 0].copy()
+    for slot in range(1, epb):
+        packed |= grouped[:, slot] << np.uint8(slot * bits)
+    return packed
 
 
 def unpack_codes(packed: np.ndarray, bits: int, count: int) -> np.ndarray:

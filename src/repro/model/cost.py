@@ -144,13 +144,25 @@ class InferenceCost:
 
 
 def policy_weight_bytes(config: ModelConfig, policy: SchemePolicy) -> int:
-    """Packed-weight footprint of the stack under a (mixed) scheme policy."""
-    total = 0
+    """Packed-weight footprint of the stack under a (mixed) scheme policy.
+
+    Every layer without a layer override resolves to the same schemes, so
+    one block is summed once and scaled by their count; each overridden
+    layer inside the stack is added on its own.
+    """
     shapes = config.projection_shapes()
-    for layer in range(config.num_layers):
-        for name, (k, n) in shapes.items():
-            bits = policy.scheme_for(layer, name).weight_bits
-            total += packed_weight_bytes(k, n, bits)
+
+    def block_bytes(layer: int) -> int:
+        return sum(
+            packed_weight_bytes(k, n, policy.scheme_for(layer, name).weight_bits)
+            for name, (k, n) in shapes.items()
+        )
+
+    overridden = {layer for layer in policy.layer_overrides if 0 <= layer < config.num_layers}
+    total = sum(block_bytes(layer) for layer in overridden)
+    plain = next((layer for layer in range(config.num_layers) if layer not in overridden), None)
+    if plain is not None:
+        total += (config.num_layers - len(overridden)) * block_bytes(plain)
     return total
 
 

@@ -78,10 +78,18 @@ def quantize_symmetric(values: np.ndarray, bits: int) -> tuple[np.ndarray, float
     if max_abs == 0.0:
         return np.zeros(values.shape, dtype=np.int64), 1.0
     scale = max_abs / hi
-    codes = np.clip(np.round(values / scale), lo, hi).astype(np.int64)
     if bits == 1:
         # 1-bit symmetric quantization is a sign code: zero maps to +1.
-        codes = np.where(values >= 0, 1, -1).astype(np.int64)
+        codes = (values >= 0).astype(np.int64)
+        codes *= 2
+        codes -= 1
+        return codes, scale
+    # Clip then round half to even (``np.round`` at zero decimals is
+    # ``rint``); the two commute because the clip bounds are integers.
+    scaled = values / scale
+    np.clip(scaled, lo, hi, out=scaled)
+    codes = np.empty(values.shape, dtype=np.int64)
+    np.rint(scaled, out=codes, casting="unsafe")
     return codes, scale
 
 
@@ -171,7 +179,7 @@ class IntegerCodec:
             return codes
         if self.bits == 1:
             # codes are in {-1, +1} -> indices {0, 1}
-            return ((codes + 1) // 2).astype(np.int64)
+            return (codes + 1) >> 1
         lo, _ = signed_range(self.bits)
         return codes - lo
 

@@ -6,20 +6,24 @@ the decomposition of ExecutionStats latency into L_D / L_local / DMA /
 host terms consistent with UpmemTimings.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
 from repro.kernels import (
     ablation_sweep,
+    gemm_cost,
     lut_gemm,
     naive_pim_gemm,
     quantize_gemm_operands,
     software_reorder_gemm,
 )
+from repro.kernels.lut import CanonicalLut
 from repro.kernels.packing import elems_per_byte
 from repro.pim import UpmemConfig, UpmemSystem
 from repro.pim.buffer import BufferOverflowError
-from repro.quant import get_scheme
+from repro.quant import IntegerCodec, get_scheme, list_schemes
 
 SCHEMES = ("W1A3", "W2A2", "W4A4")
 
@@ -75,6 +79,47 @@ class TestBitExactness:
         res = lut_gemm(a_q, w_q)
         ref = a_q.dequantize() @ w_q.dequantize()
         assert np.allclose(res.output, ref)
+
+
+def _lut_fits(scheme_name):
+    try:
+        gemm_cost(get_scheme(scheme_name), 1, 1, 1)
+    except BufferOverflowError:
+        return False
+    return True
+
+
+FITTING_SCHEMES = tuple(s for s in list_schemes() if _lut_fits(s))
+
+
+class TestByteGroupAccumulate:
+    """Differential test of the packed-byte accumulate against the
+    per-element reference gather ``table[w_idx, a_idx].sum(0)``."""
+
+    def test_fitting_schemes_cover_every_packed_width(self):
+        widths = {get_scheme(s).weight_bits for s in FITTING_SCHEMES}
+        assert widths == {1, 2, 4}
+
+    @pytest.mark.parametrize("scheme_name", FITTING_SCHEMES)
+    @pytest.mark.parametrize("software_reorder", [False, True])
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("k", [13, 37])  # ragged for 8, 4 and 2 per byte
+    def test_matches_per_element_gather(self, scheme_name, software_reorder, m, k):
+        scheme = get_scheme(scheme_name)
+        assert k % elems_per_byte(scheme.weight_bits) != 0
+        a_q, w_q = _operands(scheme_name, m=m, k=k, n=6, seed=m * 100 + k)
+        res = lut_gemm(a_q, w_q, software_reorder=software_reorder)
+        table = CanonicalLut.build(w_q, a_q).table
+        w_idx = w_q.indices()
+        ref = np.stack([table[w_idx, row[:, None]].sum(0) for row in a_q.indices()])
+        assert res.accumulator.dtype == table.dtype
+        integer_pair = isinstance(scheme.weight_codec, IntegerCodec) and isinstance(
+            scheme.activation_codec, IntegerCodec
+        )
+        if integer_pair:
+            assert np.array_equal(res.accumulator, ref)
+        else:
+            assert np.allclose(res.accumulator, ref)
 
 
 class TestStatsDecomposition:
@@ -220,6 +265,20 @@ class TestEdgeCases:
         assert np.array_equal(
             naive_pim_gemm(a_q, w_q).accumulator, _reference_accumulator(a_q, w_q)
         )
+
+    @pytest.mark.parametrize("scheme_name", ["W8A8", "W1A16-FP"])
+    @pytest.mark.parametrize("software_reorder", [False, True])
+    def test_lut_fit_checked_before_functional_work(
+        self, monkeypatch, scheme_name, software_reorder
+    ):
+        def no_functional_work(*args, **kwargs):
+            raise AssertionError("weights packed before the LUT fit check")
+
+        kernel_module = importlib.import_module("repro.kernels.lut_gemm")
+        monkeypatch.setattr(kernel_module, "pack_codes", no_functional_work)
+        a_q, w_q = _operands(scheme_name, m=2, k=16, n=3)
+        with pytest.raises(BufferOverflowError):
+            lut_gemm(a_q, w_q, software_reorder=software_reorder)
 
     def test_naive_rejects_minifloat_operands(self):
         rng = np.random.default_rng(6)

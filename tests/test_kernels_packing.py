@@ -28,6 +28,15 @@ class TestRoundTrip:
         back = unpack_codes(packed, bits, 37)
         assert np.array_equal(back, idx)
 
+    @pytest.mark.parametrize("bits", [1, 2, 4, 8])
+    def test_3d_round_trip_is_uint8(self, bits):
+        rng = np.random.default_rng(10 + bits)
+        idx = rng.integers(0, 2**bits, size=(13, 4, 3))
+        packed = pack_codes(idx, bits)
+        assert packed.dtype == np.uint8
+        assert packed.shape == (-(-13 // elems_per_byte(bits)), 4, 3)
+        assert np.array_equal(unpack_codes(packed, bits, 13), idx)
+
     def test_1d_round_trip(self):
         idx = np.array([1, 0, 1, 1, 0, 1, 0, 0, 1])
         packed = pack_codes(idx, 1)

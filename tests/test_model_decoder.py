@@ -12,6 +12,8 @@ from repro.model import (
     block_gemm_cost,
     get_model_config,
     model_inference_cost,
+    packed_weight_bytes,
+    policy_weight_bytes,
 )
 from repro.pim.upmem import UpmemConfig, UpmemSystem
 
@@ -148,3 +150,37 @@ def test_full_size_model_costs_quickly_and_sensibly():
     )
     assert cost.prefill.latency_s > cost.decode.latency_s / 4  # prefill >> one step
     assert cost.weight_bytes == get_model_config("gpt-350m").weight_footprint_bytes("W1A3")
+
+
+def _loop_weight_bytes(config, policy):
+    """Reference: sum every (layer, projection) pair of the stack."""
+    return sum(
+        packed_weight_bytes(k, n, policy.scheme_for(layer, name).weight_bits)
+        for layer in range(config.num_layers)
+        for name, (k, n) in config.projection_shapes().items()
+    )
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        SchemePolicy("W1A3"),
+        SchemePolicy("W4A4", projection_overrides={"ffn_up": "W1A3", "qkv": "W2A2"}),
+        # Layers 7 and -1 lie outside the 4-layer stack and must be ignored.
+        SchemePolicy("W2A2", layer_overrides={0: "W8A8", 2: "W1A3", 7: "W4A4", -1: "W1A3"}),
+        SchemePolicy(
+            "W1A3",
+            layer_overrides={1: "W4A4", 3: "W8A8"},
+            projection_overrides={"attn_out": "W2A2", "ffn_down": "W4A4"},
+        ),
+        SchemePolicy("W1A3", layer_overrides={layer: "W2A2" for layer in range(4)}),
+    ],
+)
+def test_policy_weight_bytes_equals_per_layer_loop(policy):
+    # Odd widths so packing at 1, 2 and 4 bits leaves ragged bytes.
+    config = ModelConfig("ragged", hidden_size=36, num_layers=4, num_heads=4, ffn_size=100)
+    got = policy_weight_bytes(config, policy)
+    assert isinstance(got, int)
+    assert got == _loop_weight_bytes(config, policy)
+    big = get_model_config("gpt-1.3b")
+    assert policy_weight_bytes(big, policy) == _loop_weight_bytes(big, policy)

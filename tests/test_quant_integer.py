@@ -53,6 +53,30 @@ class TestSymmetric:
         assert codes.tolist() == [-1, -1, 1, 1, 1]
         assert scale > 0
 
+    def test_one_bit_codes_are_sign_of_value_including_negative_zero(self):
+        rng = np.random.default_rng(11)
+        values = np.concatenate([rng.normal(size=200), [-0.0, 0.0, -1e-300, 1e-300]])
+        codes, _ = quantize_symmetric(values, 1)
+        assert codes.dtype == np.int64
+        assert np.array_equal(codes, np.where(values >= 0, 1, -1))
+        assert codes[-4:].tolist() == [1, 1, -1, 1]
+
+    def test_multibit_ties_round_half_to_even(self):
+        # max |v| = 7 makes the 4-bit scale exactly 1, so these are ties.
+        values = np.array([7.0, 0.5, 1.5, 2.5, 6.5, -0.5, -1.5, -2.5, -6.5])
+        codes, scale = quantize_symmetric(values, 4)
+        assert scale == 1.0
+        assert codes.tolist() == [7, 0, 2, 2, 6, 0, -2, -2, -6]
+
+    @pytest.mark.parametrize("bits", [2, 3, 4, 8])
+    def test_multibit_codes_equal_round_then_clip(self, bits):
+        values = np.random.default_rng(bits).normal(size=(33, 7)) * 3
+        codes, scale = quantize_symmetric(values, bits)
+        lo, hi = signed_range(bits)
+        ref = np.clip(np.round(values / scale), lo, hi).astype(np.int64)
+        assert codes.dtype == np.int64
+        assert np.array_equal(codes, ref)
+
     def test_empty_tensor(self):
         codes, scale = quantize_symmetric(np.array([]), 4)
         assert codes.shape == (0,) and scale == 1.0
@@ -107,6 +131,14 @@ class TestIntegerCodec:
         back = codec.to_indices(codes)
         assert np.array_equal(back, np.arange(codec.num_levels))
         assert len(values) == codec.num_levels
+
+    def test_one_bit_index_round_trip(self):
+        codec = IntegerCodec(bits=1, symmetric=True)
+        codes = np.random.default_rng(12).choice([-1, 1], size=(9, 5))
+        idx = codec.to_indices(codes)
+        assert idx.dtype == np.int64
+        assert np.array_equal(idx, (codes > 0).astype(np.int64))
+        assert np.array_equal(codec.from_indices(idx), codes)
 
     def test_one_bit_code_values(self):
         codec = IntegerCodec(bits=1, symmetric=True)
