@@ -10,6 +10,17 @@ Small JSON goldens are checked in under ``tests/goldens/``:
 * ``serving_conversational_<policy>.json`` — the summary of a fixed-seed
   conversational session trace with the KV prefix cache enabled, so the
   hit-rate, dedup and eviction counters are pinned per policy.
+* ``cluster_<router>.json`` — every request record of a fault-free
+  two-deployment cluster (prefix cache on, conversational traffic)
+  under each router, and
+* ``cluster_chaos.json`` — the records, fault events and scale events
+  of a ``p2c`` cluster run with a crash + stall + degrade plan,
+  retries, tier shedding and the autoscaler.
+
+Each cluster golden holds one run per object engine (``event`` and
+``loop``): under lazy advance the routers observe each engine's own
+intermediate state, so the two engines may route differently and are
+pinned separately.
 
 Any change to kernel costs, the energy model, trace generation or
 scheduler behavior shifts these numbers; the diff shows up in the PR
@@ -43,15 +54,26 @@ from repro.experiments.sweep import SweepSpec, run_sweep
 from repro.experiments.tables import latency_table
 from repro.serving import (
     POLICIES,
+    ROUTERS,
+    Autoscaler,
+    AutoscalerConfig,
+    Deployment,
+    FaultPlan,
+    FaultSpec,
+    RetryPolicy,
     ServingConfig,
     TraceSpec,
     generate_trace,
+    simulate_cluster,
     simulate_trace,
     summary,
 )
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 ALL_POLICIES = sorted(POLICIES)
+ALL_ROUTERS = sorted(ROUTERS)
+CLUSTER_ENGINES = ("event", "loop")
+CLUSTER_GOLDENS = tuple(ALL_ROUTERS) + ("chaos",)
 
 SWEEP_SPEC = SweepSpec(
     models=("gpt-125m",), schemes=("W1A3", "W4A4"), prefill_lens=(32,),
@@ -97,6 +119,50 @@ def _conv_config(policy: str, engine: str = "event") -> ServingConfig:
                          engine=engine, prefix_cache=True)
 
 
+# Conversational traffic for the fault-free cluster goldens: sessions
+# stick to one replica, so the prefix cache serves later turns.
+CLUSTER_CONV_SPEC = TraceSpec(
+    num_requests=32, seed=5, scenario="conversational",
+    arrival_rate_per_s=0.5,
+    prompt_mean=48.0, prompt_sigma=0.8, prompt_max=128,
+    gen_mean=24.0, gen_max=64,
+    priority_weights=(0.5, 0.5), slo_ttft_s=(50.0, 500.0),
+    sessions=8, turns_mean=3.0, turns_max=4, think_time_mean_s=5.0,
+    system_prompt_pool=2, system_prompt_tokens=48,
+)
+
+# Bursty traffic and a fault plan chosen so the chaos golden pins
+# crash losses, retries, failovers, shedding and scale-ups together.
+CLUSTER_CHAOS_SPEC = TraceSpec(
+    num_requests=96, seed=11, scenario="bursty", arrival_rate_per_s=30.0,
+    priority_weights=(1.0, 1.0),
+)
+CLUSTER_CHAOS_PLAN = FaultPlan((
+    FaultSpec("crash", 0, 2.0),
+    FaultSpec("stall", 3, 1.0, duration_s=20.0),
+    FaultSpec("degrade", 1, 0.0, duration_s=1e6, factor=3.0),
+))
+
+#: Record fields a cluster golden pins.
+CLUSTER_RECORD_FIELDS = (
+    "req_id", "rank", "status", "arrival_s", "admit_s", "first_token_s",
+    "finish_s", "retries", "failovers", "shed",
+)
+
+
+def _cluster_fleet(engine: str, prefix_cache: bool):
+    return [
+        Deployment(ServingConfig(model="gpt-125m", num_ranks=2, max_batch=8,
+                                 prefill_chunk_tokens=16, engine=engine,
+                                 prefix_cache=prefix_cache),
+                   name="small", tier=0),
+        Deployment(ServingConfig(model="gpt-350m", num_ranks=2, max_batch=8,
+                                 prefill_chunk_tokens=16, engine=engine,
+                                 prefix_cache=prefix_cache),
+                   name="large", tier=1),
+    ]
+
+
 def _rounded(value, digits: int = 10):
     """Round every float in a nested JSON-ish structure to ``digits``
     significant digits (ints and other scalars pass through)."""
@@ -123,6 +189,37 @@ def _build_conversational_golden(policy: str, engine: str = "event"):
     trace = generate_trace(CONV_TRACE_SPEC)
     config = _conv_config(policy, engine)
     return _rounded(summary(simulate_trace(trace, config)))
+
+
+def _run_cluster_golden(name: str, engine: str):
+    """One cluster run: ``name`` is a router (fault-free, prefix cache
+    on, conversational traffic) or ``"chaos"``."""
+    if name == "chaos":
+        return simulate_cluster(
+            generate_trace(CLUSTER_CHAOS_SPEC),
+            _cluster_fleet(engine, prefix_cache=False), router="p2c",
+            autoscaler=Autoscaler(AutoscalerConfig(
+                max_replicas=3, queue_high=4.0, interval_s=1.0,
+            )),
+            faults=CLUSTER_CHAOS_PLAN,
+            retry_policy=RetryPolicy(max_retries=3), shed_tier=1,
+        )
+    return simulate_cluster(
+        generate_trace(CLUSTER_CONV_SPEC),
+        _cluster_fleet(engine, prefix_cache=True), router=name,
+    )
+
+
+def _build_cluster_golden(name: str, engine: str):
+    result = _run_cluster_golden(name, engine)
+    return _rounded({
+        "records": [
+            {key: getattr(rec, key) for key in CLUSTER_RECORD_FIELDS}
+            for rec in result.records
+        ],
+        "fault_events": result.fault_events,
+        "scale_events": result.scale_events,
+    })
 
 
 def _golden_path(name: str) -> str:
@@ -204,6 +301,35 @@ def test_conversational_goldens_pin_cache_behavior():
         assert flat["cache_evictions"] > 0, policy
 
 
+@pytest.mark.parametrize("engine", CLUSTER_ENGINES)
+@pytest.mark.parametrize("name", CLUSTER_GOLDENS)
+def test_cluster_matches_golden(name, engine):
+    assert _build_cluster_golden(name, engine) == \
+        _load(f"cluster_{name}.json")[engine]
+
+
+def test_cluster_goldens_pin_routing_and_recovery():
+    """The checked-in fixtures themselves prove they cover what they
+    claim: routers place requests differently, cached turns hit, and
+    the chaos run retried, failed over, shed and scaled."""
+    placements = set()
+    for router in ALL_ROUTERS:
+        records = _load(f"cluster_{router}.json")["event"]["records"]
+        assert all(r["status"] == "completed" for r in records), router
+        placements.add(tuple(r["rank"] for r in records))
+    assert len(placements) >= 3
+    for engine in CLUSTER_ENGINES:
+        chaos = _load("cluster_chaos.json")[engine]
+        records = chaos["records"]
+        assert any(r["retries"] > 0 for r in records), engine
+        assert any(r["failovers"] > 0 for r in records), engine
+        assert any(r["shed"] for r in records), engine
+        assert {e["kind"] for e in chaos["fault_events"]} == \
+            {"crash", "stall", "degrade"}
+        actions = {e["action"] for e in chaos["scale_events"]}
+        assert {"replace", "scale_up"} <= actions, engine
+
+
 def test_goldens_pin_distinct_policies():
     """The checked-in fixtures themselves prove the policies diverge."""
     summaries = {p: _load(f"serving_{p}.json") for p in ALL_POLICIES}
@@ -219,6 +345,11 @@ def _update() -> None:
         goldens[f"serving_conversational_{policy}.json"] = (
             _build_conversational_golden(policy)
         )
+    for name in CLUSTER_GOLDENS:
+        goldens[f"cluster_{name}.json"] = {
+            engine: _build_cluster_golden(name, engine)
+            for engine in CLUSTER_ENGINES
+        }
     for name, payload in goldens.items():
         with open(_golden_path(name), "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
