@@ -33,6 +33,7 @@ __all__ = [
     "energy_table",
     "ablation_table",
     "serving_table",
+    "serving_row",
     "policy_table",
     "cluster_table",
     "format_table",
@@ -185,65 +186,68 @@ def serving_table(rows: Sequence[dict]) -> List[dict]:
     """
     if not rows:
         return []
-    scopes: List[tuple] = [("all", list(rows))]
     by_rank: Dict[object, List[dict]] = {}
     for r in rows:
         by_rank.setdefault(r["rank"], []).append(r)
-    for rank in sorted(by_rank):
-        scopes.append((f"rank{rank}", by_rank[rank]))
+    return [serving_row("all", rows)] + [
+        serving_row(f"rank{rank}", by_rank[rank]) for rank in sorted(by_rank)
+    ]
 
-    table = []
-    for scope, group in scopes:
-        done = [r for r in group if r["status"] == "completed"]
-        ttfts = [r["ttft_s"] for r in done]
-        # Single-token requests have no post-first-token interval; including
-        # their 0.0 placeholder would bias TPOT low.
-        tpots = [r["tpot_s"] for r in done if r["gen_tokens"] >= 2]
-        latencies = [r["latency_s"] for r in done]
-        output_tokens = sum(r["gen_tokens"] for r in done)
-        window = max((r["finish_s"] for r in done), default=0.0)
-        slo_rows = [r for r in group if r.get("slo_ttft_s", 0.0) > 0]
-        slo_met = sum(
-            r["status"] == "completed" and r["ttft_s"] <= r["slo_ttft_s"]
-            for r in slo_rows
-        )
-        hit_ttfts = [r["ttft_s"] for r in done if r.get("cache_hit", False)]
-        miss_ttfts = [r["ttft_s"] for r in done if not r.get("cache_hit", False)]
-        table.append(
-            {
-                "scope": scope,
-                "requests": len(group),
-                "completed": len(done),
-                "rejected": sum(r["status"] == "rejected" for r in group),
-                "failed": sum(r["status"] == "failed" for r in group),
-                "preemptions": sum(r.get("preemptions", 0) for r in group),
-                "retries": sum(r.get("retries", 0) for r in group),
-                "failovers": sum(r.get("failovers", 0) for r in group),
-                "shed": sum(bool(r.get("shed", False)) for r in group),
-                "slo_requests": len(slo_rows),
-                "slo_attainment": safe_ratio(slo_met, len(slo_rows), default=1.0),
-                "ttft_p50_s": percentile(ttfts, 50),
-                "ttft_p95_s": percentile(ttfts, 95),
-                "ttft_p99_s": percentile(ttfts, 99),
-                "ttft_mean_s": safe_ratio(sum(ttfts), len(ttfts)),
-                "cache_hit_requests": len(hit_ttfts),
-                "ttft_hit_p50_s": percentile(hit_ttfts, 50),
-                "ttft_hit_p95_s": percentile(hit_ttfts, 95),
-                "ttft_miss_p50_s": percentile(miss_ttfts, 50),
-                "ttft_miss_p95_s": percentile(miss_ttfts, 95),
-                "tpot_mean_s": safe_ratio(sum(tpots), len(tpots)),
-                "tpot_p99_s": percentile(tpots, 99),
-                "latency_p50_s": percentile(latencies, 50),
-                "latency_p95_s": percentile(latencies, 95),
-                "latency_p99_s": percentile(latencies, 99),
-                "queue_mean_s": safe_ratio(
-                    sum(r["queue_s"] for r in done), len(done)
-                ),
-                "output_tokens": output_tokens,
-                "output_tokens_per_s": safe_ratio(output_tokens, window),
-            }
-        )
-    return table
+
+def serving_row(scope: str, group: Sequence[dict]) -> dict:
+    """One :func:`serving_table` row: the summary of ``group`` under ``scope``.
+
+    An empty ``group`` gives the zero-valued row (no requests, 0.0
+    percentiles, SLO attainment 1.0), so a zero-request run still has a
+    well-formed summary.
+    """
+    done = [r for r in group if r["status"] == "completed"]
+    ttfts = [r["ttft_s"] for r in done]
+    # Single-token requests have no post-first-token interval; including
+    # their 0.0 placeholder would bias TPOT low.
+    tpots = [r["tpot_s"] for r in done if r["gen_tokens"] >= 2]
+    latencies = [r["latency_s"] for r in done]
+    output_tokens = sum(r["gen_tokens"] for r in done)
+    window = max((r["finish_s"] for r in done), default=0.0)
+    slo_rows = [r for r in group if r.get("slo_ttft_s", 0.0) > 0]
+    slo_met = sum(
+        r["status"] == "completed" and r["ttft_s"] <= r["slo_ttft_s"]
+        for r in slo_rows
+    )
+    hit_ttfts = [r["ttft_s"] for r in done if r.get("cache_hit", False)]
+    miss_ttfts = [r["ttft_s"] for r in done if not r.get("cache_hit", False)]
+    return {
+        "scope": scope,
+        "requests": len(group),
+        "completed": len(done),
+        "rejected": sum(r["status"] == "rejected" for r in group),
+        "failed": sum(r["status"] == "failed" for r in group),
+        "preemptions": sum(r.get("preemptions", 0) for r in group),
+        "retries": sum(r.get("retries", 0) for r in group),
+        "failovers": sum(r.get("failovers", 0) for r in group),
+        "shed": sum(bool(r.get("shed", False)) for r in group),
+        "slo_requests": len(slo_rows),
+        "slo_attainment": safe_ratio(slo_met, len(slo_rows), default=1.0),
+        "ttft_p50_s": percentile(ttfts, 50),
+        "ttft_p95_s": percentile(ttfts, 95),
+        "ttft_p99_s": percentile(ttfts, 99),
+        "ttft_mean_s": safe_ratio(sum(ttfts), len(ttfts)),
+        "cache_hit_requests": len(hit_ttfts),
+        "ttft_hit_p50_s": percentile(hit_ttfts, 50),
+        "ttft_hit_p95_s": percentile(hit_ttfts, 95),
+        "ttft_miss_p50_s": percentile(miss_ttfts, 50),
+        "ttft_miss_p95_s": percentile(miss_ttfts, 95),
+        "tpot_mean_s": safe_ratio(sum(tpots), len(tpots)),
+        "tpot_p99_s": percentile(tpots, 99),
+        "latency_p50_s": percentile(latencies, 50),
+        "latency_p95_s": percentile(latencies, 95),
+        "latency_p99_s": percentile(latencies, 99),
+        "queue_mean_s": safe_ratio(
+            sum(r["queue_s"] for r in done), len(done)
+        ),
+        "output_tokens": output_tokens,
+        "output_tokens_per_s": safe_ratio(output_tokens, window),
+    }
 
 
 #: Summary keys copied verbatim into :func:`policy_table` rows.

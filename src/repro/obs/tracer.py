@@ -1,6 +1,6 @@
 """Per-request lifecycle tracing for the serving engines.
 
-The rank engines in :mod:`repro.serving.scheduler` carry instrumentation
+The rank engines in :mod:`repro.serving.engine` carry instrumentation
 hooks that emit **typed lifecycle events** (:data:`EVENT_KINDS`) through
 a :class:`Tracer`:
 
@@ -277,7 +277,7 @@ class RecordingTracer(Tracer):
     segments and the sampled KV / batch / queue-depth time series, which
     the Chrome-trace exporter renders as counter tracks and
     :func:`repro.obs.replay.replay_result` replays into a full
-    :class:`~repro.serving.scheduler.ServingResult`.
+    :class:`~repro.serving.engine.records.ServingResult`.
 
     Attributes
     ----------

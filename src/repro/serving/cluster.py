@@ -12,17 +12,21 @@ optionally an :class:`~repro.serving.autoscale.Autoscaler`:
                    │                                   ▲
                    └── Autoscaler.control ─ add/retire replicas ──────┘
 
-The cluster processes arrivals in global time order.  Deployments
-advance *lazily*: a state-aware router (``least_kv``, ``p2c``) or the
-autoscaler advancing a deployment to the current arrival time is the
-only thing that runs engines mid-trace — under the stateless
-``round_robin`` router all engine work happens at the final drain,
-which makes a single-deployment cluster equivalent to
+One loop, :meth:`Cluster.run`, processes arrivals and crash retries in
+global time order.  Without a fault plan deployments advance *lazily*:
+a state-aware router (``least_kv``, ``p2c``) or the autoscaler advancing
+a deployment to the current arrival time is the only thing that runs
+engines mid-trace — under the stateless ``round_robin`` router all
+engine work happens at the final drain, which makes a single-deployment
+cluster equivalent to
 :func:`~repro.serving.engine.driver.simulate_trace`'s rank sharding.
-Arrivals are revealed to a deployment at routing time, so a decode
-segment committed before a *later* arrival was routed may run past it
-(the engine never splits a committed segment); scheduling is still
-fully deterministic given the trace and router.
+Under a fault plan every deployment is additionally advanced *eagerly*
+to each event's time, so crashes surface before the event is routed,
+and routing is restricted to healthy deployments.  Arrivals are
+revealed to a deployment at routing time, so a decode segment committed
+before a *later* arrival was routed may run past it (the engine never
+splits a committed segment); scheduling is still fully deterministic
+given the trace, router and fault plan.
 
 Each deployment's slice of the run is an ordinary
 :class:`~repro.serving.engine.records.ServingResult`, so the whole
@@ -38,16 +42,13 @@ import math
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.model.config import get_model_config
-from repro.model.cost import policy_weight_bytes
 from repro.model.policy import SchemePolicy
 from repro.pim.energy import EnergyModel
-from repro.pim.upmem import UpmemConfig, UpmemSystem
 from repro.serving.engine.config import ServingConfig
-from repro.serving.engine.costs import _CostCache
-from repro.serving.engine.driver import make_engine
+from repro.serving.engine.driver import make_engine, provision
 from repro.serving.engine.rank_engine import _RankEngine
 from repro.serving.engine.records import RequestRecord, ServingResult
+from repro.serving.engine.soa_engine import FAULT_ERROR
 from repro.serving.faults import FaultPlan, RetryPolicy
 from repro.serving.routing import RoutingPolicy, get_router, healthy_indices
 from repro.serving.trace import Request
@@ -93,27 +94,12 @@ class Deployment:
             else f"{config.model}-{config.scheme}-r{config.num_ranks}"
         )
         self.tier = tier
-        model = get_model_config(config.model)
-        scheme_policy = (
-            scheme_policy if scheme_policy is not None
-            else SchemePolicy(config.scheme)
-        )
-        energy_model = energy_model if energy_model is not None else EnergyModel()
-        system = UpmemSystem(
-            UpmemConfig(num_ranks=1, dpus_per_rank=config.dpus_per_rank)
-        )
-        self.weight_bytes = policy_weight_bytes(model, scheme_policy)
-        mram_total = config.dpus_per_rank * system.timings.mram_bytes
-        self.kv_capacity = mram_total - self.weight_bytes
-        if self.kv_capacity <= 0:
-            raise ValueError(
-                f"deployment {self.name!r}: packed weights "
-                f"({self.weight_bytes} B) exceed a replica's MRAM "
-                f"({mram_total} B); use more DPUs per rank or a narrower scheme"
+        try:
+            self.cost_cache, self.kv_capacity, self.weight_bytes = provision(
+                config, scheme_policy, energy_model
             )
-        self.cost_cache = _CostCache(
-            model, scheme_policy, system, config.kernel, energy_model
-        )
+        except ValueError as exc:
+            raise ValueError(f"deployment {self.name!r}: {exc}") from None
         self.sched_policy = config.make_policy()
         self.engines: List[_RankEngine] = []
         self.routed = 0
@@ -434,7 +420,10 @@ class Cluster:
     interval, (2) asks the router for a target deployment — session
     turns are sticky to the deployment that served the session's first
     turn — and (3) submits the request there.  After the last arrival
-    every deployment drains to completion.
+    every deployment drains to completion.  A non-empty fault plan
+    adds eager advance, health-filtered routing, retries of crash-lost
+    requests and optional tier shedding to the same loop (see
+    :meth:`run`).
     """
 
     def __init__(
@@ -456,9 +445,10 @@ class Cluster:
         self._trace = tracer if tracer is not None and tracer.enabled else None
         self._next_rank = 0
         self._session_target: Dict[int, int] = {}
-        # Fault mode engages only for a non-empty plan: an empty
-        # FaultPlan (or none) runs the original arrival loop verbatim,
-        # bit-identical to a fault-free cluster.
+        # Fault mode engages only for a non-empty plan; it gates the work
+        # only faults need (eager advance and the health probe in
+        # :meth:`run`), so an empty FaultPlan (or none) is bit-identical
+        # to a fault-free cluster.
         self.faults = faults
         self._fault_mode = faults is not None and not faults.empty
         self.shed_tier = shed_tier
@@ -466,16 +456,11 @@ class Cluster:
             for deployment in self.deployments:
                 if deployment.config.engine == "soa":
                     raise ValueError(
-                        f"deployment {deployment.name!r} uses "
-                        f"engine='soa', which does not support fault "
-                        f"injection; use engine='event' (or 'loop') for "
-                        f"faulted clusters"
+                        f"deployment {deployment.name!r}: {FAULT_ERROR}"
                     )
-            self.retry_policy = (
-                retry_policy if retry_policy is not None else RetryPolicy()
-            )
-        else:
-            self.retry_policy = retry_policy
+        self.retry_policy = (
+            retry_policy if retry_policy is not None else RetryPolicy()
+        )
         # Recovery-loop state (all empty and untouched fault-free).
         self._crash_box: List[tuple] = []
         self._fault_events: List[dict] = []
@@ -515,36 +500,155 @@ class Cluster:
         return rank
 
     def run(self, trace: Sequence[Request]) -> ClusterResult:
-        """Simulate serving ``trace`` across the deployments."""
-        if self._fault_mode:
-            return self._run_faulted(trace)
+        """Simulate serving ``trace`` across the deployments.
+
+        Events are the trace's arrivals in ``(arrival_s, req_id)`` order
+        merged with a heap of retries; an arrival goes first when a
+        retry is due at the same time.  Without a fault plan the retry
+        heap stays empty and the loop just replays the trace.  Under a
+        fault plan every deployment is first advanced to the head
+        event's time so crashes scheduled earlier have fired; harvested
+        losses enter the retry heap (or fail terminally), and only then
+        is the head event routed — to a healthy deployment, or back into
+        the retry heap with backoff when none exists.  After the last
+        event the deployments drain, which can itself fire late crashes,
+        so the drain loops until no crash box entry and no retry remain.
+        """
         deployments = self.deployments
         router = self.router
         scaler = self.autoscaler
         session_target = self._session_target
         tracer = self._trace
-        ordered = sorted(trace, key=lambda r: (r.arrival_s, r.req_id))
-        for request in ordered:
-            t = request.arrival_s
-            if scaler is not None:
-                scaler.control(t, self)
-            session = request.session_id
-            target = session_target.get(session, -1) if session >= 0 else -1
-            if target < 0:
-                target = router.select(request, deployments)
-                if not 0 <= target < len(deployments):
-                    raise ValueError(
-                        f"router {router.name!r} returned invalid target "
-                        f"{target} for {len(deployments)} deployments"
+        retry = self.retry_policy
+        fault_mode = self._fault_mode
+        every = range(len(deployments))
+        arrivals = sorted(trace, key=lambda r: (r.arrival_s, r.req_id))
+        n_arrivals = len(arrivals)
+        next_arrival = 0
+        retries: List[tuple] = []  # heap of (t, seq, request, from_rank)
+        while True:
+            while next_arrival < n_arrivals or retries:
+                retry_first = bool(retries) and (
+                    next_arrival == n_arrivals
+                    or retries[0][0] < arrivals[next_arrival].arrival_s
+                )
+                t = (
+                    retries[0][0] if retry_first
+                    else arrivals[next_arrival].arrival_s
+                )
+                if fault_mode:
+                    for deployment in deployments:
+                        deployment.advance(t)
+                    if self._crash_box:
+                        # Harvest first: a retry may precede the head event.
+                        self._pump_crashes(retries)
+                        continue
+                if retry_first:
+                    _, _, request, from_rank = heapq.heappop(retries)
+                else:
+                    request = arrivals[next_arrival]
+                    next_arrival += 1
+                    from_rank = -1
+                self._now = t
+                req_id = request.req_id
+                if scaler is not None:
+                    scaler.control(t, self)
+                    if self._crash_box:
+                        self._pump_crashes(retries)
+                if from_rank < 0 and self._should_shed(request, t):
+                    self._fail_terminal(
+                        self._unplaced_record(request), t, shed=True
                     )
-                if session >= 0:
-                    session_target[session] = target
-            deployment = deployments[target]
-            deployment.submit(request)
-            if tracer is not None:
-                tracer.route(t, deployment.name, request.req_id, router.name)
-        for deployment in deployments:
-            deployment.drain()
+                    if tracer is not None:
+                        tracer.shed(t, "cluster", req_id, request.priority)
+                    continue
+                healthy = (
+                    healthy_indices(deployments, t) if fault_mode else every
+                )
+                if not healthy:
+                    # Nowhere to place it: back off like a crash loss.
+                    attempt = self._retry_counts.get(req_id, 0) + 1
+                    self._origin_arrival.setdefault(
+                        req_id, request.arrival_s
+                    )
+                    if attempt > retry.max_retries:
+                        self._fail_terminal(self._unplaced_record(request), t)
+                        continue
+                    self._retry_counts[req_id] = attempt
+                    backoff = retry.backoff_s(req_id, attempt)
+                    if tracer is not None:
+                        tracer.retry(
+                            t + backoff, "cluster", req_id, attempt, backoff
+                        )
+                    heapq.heappush(retries, (
+                        t + backoff, self._next_seq(),
+                        dc_replace(request, arrival_s=t + backoff),
+                        from_rank,
+                    ))
+                    continue
+                session = request.session_id
+                target = (
+                    session_target.get(session, -1) if session >= 0 else -1
+                )
+                if target >= 0 and target not in healthy:
+                    # Sticky deployment is down or frozen: fail over.
+                    self._count_failover(req_id)
+                    if tracer is not None:
+                        tracer.failover(
+                            t, deployments[target].name, req_id, -1
+                        )
+                    target = -1
+                    session_target.pop(session, None)
+                if target < 0:
+                    pool = (
+                        [deployments[i] for i in healthy] if fault_mode
+                        else deployments
+                    )
+                    choice = router.select(request, pool)
+                    if not 0 <= choice < len(pool):
+                        raise ValueError(
+                            f"router {router.name!r} returned invalid "
+                            f"target {choice} for {len(pool)} deployments"
+                        )
+                    target = healthy[choice]
+                    if session >= 0:
+                        session_target[session] = target
+                deployment = deployments[target]
+                placed = deployment.submit(request)
+                if from_rank >= 0 and placed.rank != from_rank:
+                    # The retry moved off the replica that crashed.
+                    self._count_failover(req_id)
+                    if tracer is not None:
+                        tracer.failover(
+                            t, deployment.name, req_id, from_rank
+                        )
+                if tracer is not None:
+                    tracer.route(t, deployment.name, req_id, router.name)
+            for deployment in deployments:
+                deployment.drain()
+            if self._crash_box:
+                self._pump_crashes(retries)
+            if not retries and not self._crash_box:
+                break
+        # Surviving records of retried requests were created at their
+        # retry submission; restore the origin arrival so TTFT and
+        # latency include the crash and backoff delay, and stamp the
+        # per-request recovery counters.
+        if self._retry_counts or self._failover_counts:
+            for deployment in deployments:
+                for engine in deployment.engines:
+                    for record in engine.records:
+                        retries = self._retry_counts.get(record.req_id, 0)
+                        if retries:
+                            record.retries = retries
+                            record.arrival_s = self._origin_arrival.get(
+                                record.req_id, record.arrival_s
+                            )
+                        failovers = self._failover_counts.get(
+                            record.req_id, 0
+                        )
+                        if failovers:
+                            record.failovers = failovers
         return self._collect_result()
 
     # -- fault mode (crash recovery, retries, shedding) -----------------------
@@ -572,12 +676,24 @@ class Cluster:
         """Failover callback: a sticky session's replica died and its
         turn was re-placed on a live one."""
         def on_failover(t_s: float, req_id: int, from_rank: int) -> None:
-            self._failover_counts[req_id] = (
-                self._failover_counts.get(req_id, 0) + 1
-            )
+            self._count_failover(req_id)
             if self._trace is not None:
                 self._trace.failover(t_s, deployment.name, req_id, from_rank)
         return on_failover
+
+    def _count_failover(self, req_id: int) -> None:
+        self._failover_counts[req_id] = self._failover_counts.get(req_id, 0) + 1
+
+    @staticmethod
+    def _unplaced_record(request: Request) -> RequestRecord:
+        """A record for a request that never reached a replica."""
+        return RequestRecord(
+            req_id=request.req_id, rank=-1, arrival_s=request.arrival_s,
+            prompt_tokens=request.prompt_tokens,
+            gen_tokens=request.gen_tokens, priority=request.priority,
+            slo_ttft_s=request.slo_ttft_s, session_id=request.session_id,
+            turn=request.turn,
+        )
 
     def _fail_terminal(self, record: RequestRecord, t_s: float,
                        shed: bool = False) -> None:
@@ -591,7 +707,7 @@ class Cluster:
         record.shed = shed
         self._failed_records.append(record)
 
-    def _pump_crashes(self, heap: List[tuple]) -> None:
+    def _pump_crashes(self, retries: List[tuple]) -> None:
         """Drain the crash box: schedule a retry for every lost request
         still inside its budget, fail the rest terminally.
 
@@ -617,7 +733,7 @@ class Cluster:
                     self._trace.retry(
                         t_retry, deployment.name, req_id, attempt, backoff
                     )
-                heapq.heappush(heap, (
+                heapq.heappush(retries, (
                     t_retry, self._next_seq(),
                     dc_replace(request, arrival_s=t_retry), engine.rank,
                 ))
@@ -651,157 +767,6 @@ class Cluster:
                 1 for e in deployment.active_engines() if not e.dead
             )
         return depth > high * max(live, 1)
-
-    def _run_faulted(self, trace: Sequence[Request]) -> ClusterResult:
-        """The arrival loop with crash recovery layered on.
-
-        Arrivals and retries merge in one time-ordered heap.  Before
-        each event every deployment is advanced to the event time so
-        crashes scheduled earlier have fired; harvested losses re-enter
-        the heap as retries (or fail terminally), and only then is the
-        head event routed — to a healthy deployment, or back into the
-        heap with backoff when none exists.  After the heap drains the
-        deployments drain, which can itself fire late crashes, so the
-        drain loops until no crash box entry and no heap entry remain.
-        """
-        deployments = self.deployments
-        router = self.router
-        scaler = self.autoscaler
-        session_target = self._session_target
-        tracer = self._trace
-        retry = self.retry_policy
-        ordered = sorted(trace, key=lambda r: (r.arrival_s, r.req_id))
-        heap: List[tuple] = [
-            (r.arrival_s, i, r, -1) for i, r in enumerate(ordered)
-        ]
-        heapq.heapify(heap)
-        self._seq = len(ordered)
-        while True:
-            while heap:
-                t_peek = heap[0][0]
-                for deployment in deployments:
-                    deployment.advance(t_peek)
-                if self._crash_box:
-                    # Harvest first: a retry may precede the head event.
-                    self._pump_crashes(heap)
-                    continue
-                t, _, request, from_rank = heapq.heappop(heap)
-                self._now = t
-                req_id = request.req_id
-                if scaler is not None:
-                    scaler.control(t, self)
-                    if self._crash_box:
-                        self._pump_crashes(heap)
-                if from_rank < 0 and self._should_shed(request, t):
-                    record = RequestRecord(
-                        req_id=req_id, rank=-1, arrival_s=request.arrival_s,
-                        prompt_tokens=request.prompt_tokens,
-                        gen_tokens=request.gen_tokens,
-                        priority=request.priority,
-                        slo_ttft_s=request.slo_ttft_s,
-                        session_id=request.session_id, turn=request.turn,
-                    )
-                    self._fail_terminal(record, t, shed=True)
-                    if tracer is not None:
-                        tracer.shed(t, "cluster", req_id, request.priority)
-                    continue
-                healthy = healthy_indices(deployments, t)
-                if not healthy:
-                    # Nowhere to place it: back off like a crash loss.
-                    attempt = self._retry_counts.get(req_id, 0) + 1
-                    self._origin_arrival.setdefault(
-                        req_id, request.arrival_s
-                    )
-                    if attempt > retry.max_retries:
-                        record = RequestRecord(
-                            req_id=req_id, rank=-1,
-                            arrival_s=request.arrival_s,
-                            prompt_tokens=request.prompt_tokens,
-                            gen_tokens=request.gen_tokens,
-                            priority=request.priority,
-                            slo_ttft_s=request.slo_ttft_s,
-                            session_id=request.session_id,
-                            turn=request.turn,
-                        )
-                        self._fail_terminal(record, t)
-                        continue
-                    self._retry_counts[req_id] = attempt
-                    backoff = retry.backoff_s(req_id, attempt)
-                    if tracer is not None:
-                        tracer.retry(
-                            t + backoff, "cluster", req_id, attempt, backoff
-                        )
-                    heapq.heappush(heap, (
-                        t + backoff, self._next_seq(),
-                        dc_replace(request, arrival_s=t + backoff),
-                        from_rank,
-                    ))
-                    continue
-                session = request.session_id
-                target = (
-                    session_target.get(session, -1) if session >= 0 else -1
-                )
-                if target >= 0 and target not in healthy:
-                    # Sticky deployment is down or frozen: fail over.
-                    self._failover_counts[req_id] = (
-                        self._failover_counts.get(req_id, 0) + 1
-                    )
-                    if tracer is not None:
-                        tracer.failover(
-                            t, deployments[target].name, req_id, -1
-                        )
-                    target = -1
-                    session_target.pop(session, None)
-                if target < 0:
-                    pool = [deployments[i] for i in healthy]
-                    choice = router.select(request, pool)
-                    if not 0 <= choice < len(pool):
-                        raise ValueError(
-                            f"router {router.name!r} returned invalid "
-                            f"target {choice} for {len(pool)} deployments"
-                        )
-                    target = healthy[choice]
-                    if session >= 0:
-                        session_target[session] = target
-                deployment = deployments[target]
-                placed = deployment.submit(request)
-                if from_rank >= 0 and placed.rank != from_rank:
-                    # The retry moved off the replica that crashed.
-                    self._failover_counts[req_id] = (
-                        self._failover_counts.get(req_id, 0) + 1
-                    )
-                    if tracer is not None:
-                        tracer.failover(
-                            t, deployment.name, req_id, from_rank
-                        )
-                if tracer is not None:
-                    tracer.route(t, deployment.name, req_id, router.name)
-            for deployment in deployments:
-                deployment.drain()
-            if self._crash_box:
-                self._pump_crashes(heap)
-            if not heap and not self._crash_box:
-                break
-        # Surviving records of retried requests were created at their
-        # retry submission; restore the origin arrival so TTFT and
-        # latency include the crash and backoff delay, and stamp the
-        # per-request recovery counters.
-        if self._retry_counts or self._failover_counts:
-            for deployment in deployments:
-                for engine in deployment.engines:
-                    for record in engine.records:
-                        retries = self._retry_counts.get(record.req_id, 0)
-                        if retries:
-                            record.retries = retries
-                            record.arrival_s = self._origin_arrival.get(
-                                record.req_id, record.arrival_s
-                            )
-                        failovers = self._failover_counts.get(
-                            record.req_id, 0
-                        )
-                        if failovers:
-                            record.failovers = failovers
-        return self._collect_result()
 
     def _collect_result(self) -> ClusterResult:
         """Package deployments, scale events and fault state."""

@@ -29,9 +29,12 @@ natural seams:
 The scheduling semantics (per-rank sharding, continuous batching,
 event-driven decode segments vs. the per-token reference loop,
 pluggable policies, KV admission/preemption, the prefix cache and the
-observability hooks) are documented on the classes themselves and in
-:mod:`repro.serving.scheduler`, which remains the stable import path
-re-exporting everything here.
+observability hooks) are documented on the classes themselves.  The
+public names below are also re-exported by :mod:`repro.serving`:
+
+>>> from repro.serving.engine import ServingConfig, simulate_trace
+>>> ServingConfig().engine
+'event'
 """
 
 from repro.serving.engine.cache import CacheEntry, PrefixCache

@@ -11,7 +11,7 @@ the metrics layer consumes.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,12 +30,50 @@ from repro.serving.engine.records import (
     RequestRecord,
     ServingResult,
 )
-from repro.serving.engine.soa_engine import _SoaEngine
+from repro.serving.engine.soa_engine import FAULT_ERROR, _SoaEngine
 from repro.serving.policy import SchedulingPolicy
 from repro.serving.routing import RoundRobinRouter
 from repro.serving.trace import Request
 
-__all__ = ["simulate_trace", "make_engine"]
+__all__ = ["simulate_trace", "make_engine", "provision"]
+
+
+def provision(
+    config: ServingConfig,
+    scheme_policy: Optional[SchemePolicy] = None,
+    energy_model: Optional[EnergyModel] = None,
+) -> Tuple[_CostCache, int, int]:
+    """Size one replica of ``config``: ``(cost_cache, kv_capacity, weight_bytes)``.
+
+    A replica is one rank of ``config.dpus_per_rank`` DPUs holding the
+    packed weights of ``config.model`` under ``scheme_policy`` (default:
+    uniform ``config.scheme``); the MRAM left over is its KV budget.  The
+    returned cost cache is shared by every replica of the deployment.
+
+    Raises
+    ------
+    ValueError
+        If the packed weights leave no MRAM for KV cache.
+    """
+    model = get_model_config(config.model)
+    scheme_policy = (
+        scheme_policy if scheme_policy is not None
+        else SchemePolicy(config.scheme)
+    )
+    energy_model = energy_model if energy_model is not None else EnergyModel()
+    system = UpmemSystem(
+        UpmemConfig(num_ranks=1, dpus_per_rank=config.dpus_per_rank)
+    )
+    weight_bytes = policy_weight_bytes(model, scheme_policy)
+    mram_total = config.dpus_per_rank * system.timings.mram_bytes
+    kv_capacity = mram_total - weight_bytes
+    if kv_capacity <= 0:
+        raise ValueError(
+            f"packed weights ({weight_bytes} B) exceed a replica's MRAM "
+            f"({mram_total} B); use more DPUs per rank or a narrower scheme"
+        )
+    cache = _CostCache(model, scheme_policy, system, config.kernel, energy_model)
+    return cache, kv_capacity, weight_bytes
 
 
 def make_engine(
@@ -195,24 +233,10 @@ def simulate_trace(
         for KV cache on a replica.
     """
     config = config if config is not None else ServingConfig()
-    model = get_model_config(config.model)
-    scheme_policy = (
-        scheme_policy if scheme_policy is not None else SchemePolicy(config.scheme)
-    )
-    energy_model = energy_model if energy_model is not None else EnergyModel()
     sched_policy = sched_policy if sched_policy is not None else config.make_policy()
-    system = UpmemSystem(
-        UpmemConfig(num_ranks=1, dpus_per_rank=config.dpus_per_rank)
+    cache, kv_capacity, weight_bytes = provision(
+        config, scheme_policy, energy_model
     )
-    weight_bytes = policy_weight_bytes(model, scheme_policy)
-    mram_total = config.dpus_per_rank * system.timings.mram_bytes
-    kv_capacity = mram_total - weight_bytes
-    if kv_capacity <= 0:
-        raise ValueError(
-            f"packed weights ({weight_bytes} B) exceed a replica's MRAM "
-            f"({mram_total} B); use more DPUs per rank or a narrower scheme"
-        )
-    cache = _CostCache(model, scheme_policy, system, config.kernel, energy_model)
 
     have_faults = faults is not None and not faults.empty
     if config.engine == "soa":
@@ -227,10 +251,7 @@ def simulate_trace(
                 "(engine='event' or 'loop')"
             )
         if have_faults:
-            raise ValueError(
-                "fault injection requires an object engine (engine='event' "
-                "or 'loop'); the soa engine has no fault hooks"
-            )
+            raise ValueError(FAULT_ERROR)
         return _simulate_trace_soa(
             trace, config, cache, kv_capacity, weight_bytes, sched_policy
         )

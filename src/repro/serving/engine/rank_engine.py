@@ -2,20 +2,19 @@
 
 :class:`_RankEngine` owns a single rank's scheduler state (pending →
 ready → prefilling → running) and advances it one scheduler iteration
-at a time (:meth:`_RankEngine._step`).  Two driving modes share that
-step body:
+at a time (:meth:`_RankEngine._step`).  One loop,
+:meth:`_RankEngine.advance`, runs those steps up to a time horizon and
+applies any scheduled crash, stall or degradation on the way; two
+driving modes share it:
 
 * **Run-to-drain** (:meth:`_RankEngine.run`) — the single-deployment
   driver hands every request to the constructor and drains the engine
-  in one call; this is the original monolith behavior, bit-identical to
-  it by construction.
+  in one call (``advance(math.inf)`` then ``finalize()``).
 * **Incremental** (:meth:`_RankEngine.submit` /
   :meth:`_RankEngine.advance` / :meth:`_RankEngine.finalize`) — the
   cluster layer reveals arrivals one routing decision at a time and
   advances the engine lazily to a time horizon, so routers can observe
   live queue depth and KV occupancy between arrivals.
-  ``advance(math.inf)`` after the last ``submit`` is equivalent to
-  ``run()``.
 """
 
 from __future__ import annotations
@@ -97,12 +96,12 @@ class _RankEngine:
         #: Cluster-managed flag: a retired replica receives no new work
         #: from its deployment (the engine itself never reads it).
         self.retired = False
-        # Fault-injection state.  ``_has_faults`` stays False until a
-        # hook arms it, so fault-free runs execute the original step
-        # loop verbatim (the goldens pin this bit-identity).  Set before
-        # the initial shard submission below — submit() guards on dead.
+        # Fault-injection state, filled by the fault hooks.  A fault-free
+        # engine never crashes (``_crash_s`` stays inf), has no stall
+        # window to jump over and no degrade window to scale its costs
+        # by.  Set before the initial shard submission below — submit()
+        # guards on dead.
         self.dead = False
-        self._has_faults = False
         self._crash_s = math.inf
         self._stalls: List[Tuple[float, float]] = []
         self._degrades: List[List] = []  # [start, end, factor, fired]
@@ -187,13 +186,49 @@ class _RankEngine:
 
         ``advance(math.inf)`` drains the engine completely; a decode
         segment that *starts* before the horizon may finish past it (the
-        engine never splits a committed segment).
+        engine never splits a committed segment).  Crashes fire at the
+        first step boundary at or past the crash time; stalls jump the
+        clock over their window; degradations are noted here (one trace
+        event per window) and applied at the costed sites via
+        :meth:`_fault_factor`.
         """
-        if self._has_faults:
-            self._advance_faulted(horizon_s)
+        if self.dead:
             return
-        while self.has_work and self.next_event_s() <= horizon_s:
+        while self.has_work:
+            t = self.next_event_s()
+            if t > horizon_s:
+                break
+            if t >= self._crash_s:
+                self._crash()
+                return
+            stalled = False
+            for start, end in self._stalls:
+                if start <= t < end:
+                    if self._crash_s < end:
+                        # Died mid-stall: never wakes up.
+                        self._crash()
+                        return
+                    if self._trace is not None:
+                        self._trace.fault_stall(
+                            max(t, start), self.rank, end - max(t, start)
+                        )
+                    self.clock = end
+                    stalled = True
+                    break
+            if stalled:
+                continue
+            if self._trace is not None:
+                for window in self._degrades:
+                    if not window[3] and window[0] <= t < window[1]:
+                        window[3] = True
+                        self._trace.fault_degrade(
+                            t, self.rank, window[1] - t, window[2]
+                        )
             self._step()
+        if self._crash_s < math.inf and horizon_s >= self._crash_s:
+            # Idle (or past-horizon) death: the replica dies on
+            # schedule even with no work in flight.
+            self._crash()
 
     def finalize(self) -> RankStats:
         """Close the books once drained: stamp finish time and final KV."""
@@ -213,7 +248,6 @@ class _RankEngine:
         if t_s < 0:
             raise ValueError(f"fail_at t_s must be >= 0, got {t_s}")
         self._crash_s = min(self._crash_s, t_s)
-        self._has_faults = True
 
     def stall(self, t_s: float, duration_s: float) -> None:
         """Schedule a transient freeze over ``[t_s, t_s + duration_s)``:
@@ -225,7 +259,6 @@ class _RankEngine:
             raise ValueError(f"stall duration_s must be > 0, got {duration_s}")
         self._stalls.append((t_s, t_s + duration_s))
         self._stalls.sort()
-        self._has_faults = True
 
     def degrade(self, t_s: float, duration_s: float, factor: float) -> None:
         """Schedule a slowdown: every costed step that *starts* inside
@@ -241,7 +274,6 @@ class _RankEngine:
             raise ValueError(f"degrade factor must be > 1.0, got {factor}")
         self._degrades.append([t_s, t_s + duration_s, factor, False])
         self._degrades.sort(key=lambda w: w[0])
-        self._has_faults = True
 
     def is_stalled(self, t_s: float) -> bool:
         """True while ``t_s`` falls inside a scheduled stall window."""
@@ -295,50 +327,6 @@ class _RankEngine:
                 record.status = "failed"
                 record.finish_s = t
                 self.records.append(record)
-
-    def _advance_faulted(self, horizon_s: float) -> None:
-        """The :meth:`advance` loop with crash/stall/degrade applied.
-
-        Crashes fire at the first step boundary at or past the crash
-        time; stalls jump the clock over their window; degradations are
-        noted here (one trace event per window) and applied at the
-        costed sites via :meth:`_fault_factor`.
-        """
-        if self.dead:
-            return
-        while self.has_work and self.next_event_s() <= horizon_s:
-            t = max(self.clock, self.next_event_s())
-            if t >= self._crash_s:
-                self._crash()
-                return
-            stalled = False
-            for start, end in self._stalls:
-                if start <= t < end:
-                    if self._crash_s < end:
-                        # Died mid-stall: never wakes up.
-                        self._crash()
-                        return
-                    if self._trace is not None:
-                        self._trace.fault_stall(
-                            max(t, start), self.rank, end - max(t, start)
-                        )
-                    self.clock = end
-                    stalled = True
-                    break
-            if stalled:
-                continue
-            if self._trace is not None:
-                for window in self._degrades:
-                    if not window[3] and window[0] <= t < window[1]:
-                        window[3] = True
-                        self._trace.fault_degrade(
-                            t, self.rank, window[1] - t, window[2]
-                        )
-            self._step()
-        if self._crash_s < math.inf and horizon_s >= self._crash_s:
-            # Idle (or past-horizon) death: the replica dies on
-            # schedule even with no work in flight.
-            self._crash()
 
     # -- ready-queue helpers ------------------------------------------------
 
@@ -502,7 +490,7 @@ class _RankEngine:
             remaining = state.prefix_target - state.prefix_done
             chunk = min(self.policy.prefill_chunk(remaining), remaining)
             latency, energy = self.cache.prefill_chunk(state.prefix_done, chunk)
-            if self._has_faults:
+            if self._degrades:
                 latency *= self._fault_factor()
             if self._trace is not None:
                 self._trace.prefill_chunk_start(self.clock, self.rank,
@@ -592,7 +580,7 @@ class _RankEngine:
             attn_latency, attn_energy = self.cache.attn_step(kv_len)
             latency += attn_latency
             energy += attn_energy
-        if self._has_faults:
+        if self._degrades:
             latency *= self._fault_factor()
         self.clock += latency
         self.stats.busy_s += latency
@@ -630,7 +618,7 @@ class _RankEngine:
         for state in self.running:
             kv = state.request.prompt_tokens + state.tokens_out
             total += self.cache.attn_segment(kv + 1, kv + tokens)[0]
-        if self._has_faults:
+        if self._degrades:
             total *= self._fault_factor()
         return total
 
@@ -687,7 +675,7 @@ class _RankEngine:
             attn_latency, attn_energy = self.cache.attn_segment(kv + 1, kv + tokens)
             latency += attn_latency
             energy += attn_energy
-        if self._has_faults:
+        if self._degrades:
             latency *= self._fault_factor()
         if self.profiler is not None:
             self.profiler.add("segment_costing", perf_counter() - costing_t0)
@@ -698,7 +686,7 @@ class _RankEngine:
             for state in self.running:
                 kv = state.request.prompt_tokens + state.tokens_out + 1
                 first_latency += self.cache.attn_step(kv)[0]
-            if self._has_faults:
+            if self._degrades:
                 first_latency *= self._fault_factor()
             first_boundary = self.clock + first_latency
             trace = self._trace
@@ -763,11 +751,5 @@ class _RankEngine:
 
     def run(self) -> Tuple[List[RequestRecord], RankStats]:
         """Drain the engine (all requests known upfront) and finalize."""
-        if self._has_faults:
-            self._advance_faulted(math.inf)
-            self.finalize()
-            return self.records, self.stats
-        while self.pending or self.ready or self.prefilling or self.running:
-            self._step()
-        self.finalize()
-        return self.records, self.stats
+        self.advance(math.inf)
+        return self.records, self.finalize()

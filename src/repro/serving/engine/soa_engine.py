@@ -70,7 +70,14 @@ from repro.serving.policy import (
 )
 from repro.serving.trace import Request
 
-__all__ = ["_SoaEngine"]
+__all__ = ["_SoaEngine", "FAULT_ERROR"]
+
+#: Why a soa replica refuses a fault plan; the driver and the cluster
+#: raise it up front, before any replica is built.
+FAULT_ERROR = (
+    "fault injection requires an object engine (engine='event' or "
+    "'loop'); the soa engine has no fault hooks"
+)
 
 
 class _SoaEngine:
@@ -210,22 +217,17 @@ class _SoaEngine:
 
     # -- fault injection (rejected) -------------------------------------------
 
-    _FAULT_ERROR = (
-        "fault injection requires an object engine (engine='event' or "
-        "'loop'); the soa engine has no fault hooks"
-    )
-
     def fail_at(self, t_s: float) -> None:
         """Unsupported: the soa engine rejects fault plans."""
-        raise ValueError(self._FAULT_ERROR)
+        raise ValueError(FAULT_ERROR)
 
     def stall(self, t_s: float, duration_s: float) -> None:
         """Unsupported: the soa engine rejects fault plans."""
-        raise ValueError(self._FAULT_ERROR)
+        raise ValueError(FAULT_ERROR)
 
     def degrade(self, t_s: float, duration_s: float, factor: float) -> None:
         """Unsupported: the soa engine rejects fault plans."""
-        raise ValueError(self._FAULT_ERROR)
+        raise ValueError(FAULT_ERROR)
 
     def is_stalled(self, t_s: float) -> bool:
         """Always False: a soa replica never carries stall windows."""

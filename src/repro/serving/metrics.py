@@ -1,6 +1,6 @@
 """Serving metrics: per-request rows and aggregate summary tables.
 
-Converts a :class:`~repro.serving.scheduler.ServingResult` into the row
+Converts a :class:`~repro.serving.engine.records.ServingResult` into the row
 dicts the :mod:`repro.experiments.io` writers consume:
 
 * :func:`record_rows` — one row per request (timestamps plus the
@@ -40,8 +40,13 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.experiments.tables import percentile, safe_ratio, serving_table
-from repro.serving.scheduler import ServingResult
+from repro.experiments.tables import (
+    percentile,
+    safe_ratio,
+    serving_row,
+    serving_table,
+)
+from repro.serving.engine import ServingResult
 
 __all__ = [
     "record_rows",
@@ -103,38 +108,7 @@ def metrics_table(result: ServingResult) -> List[dict]:
     table = serving_table(record_rows(result))
     by_scope = {row["scope"]: row for row in table}
     if "all" in by_scope:
-        row = by_scope["all"]
-        output_tokens = result.output_tokens
-        row["makespan_s"] = result.makespan_s
-        row["prefill_tokens"] = result.prefill_tokens
-        row["energy_j"] = result.total_energy_j
-        row["energy_mj_per_token"] = safe_ratio(
-            1e3 * result.total_energy_j, output_tokens
-        )
-        row["utilization"] = safe_ratio(
-            sum(rs.busy_s for rs in result.rank_stats),
-            len(result.rank_stats) * result.makespan_s,
-        )
-        row["requeues"] = sum(rs.requeues for rs in result.rank_stats)
-        row["recompute_tokens"] = sum(
-            rs.recompute_tokens for rs in result.rank_stats
-        )
-        row["kv_peak_bytes"] = max(
-            (rs.kv_peak_bytes for rs in result.rank_stats), default=0
-        )
-        hits, misses = result.cache_hits, result.cache_misses
-        row["cache_hits"] = hits
-        row["cache_misses"] = misses
-        row["cache_evictions"] = result.cache_evictions
-        row["cache_hit_rate"] = safe_ratio(hits, hits + misses)
-        row["cache_hit_tokens"] = sum(
-            rs.cache_hit_tokens for rs in result.rank_stats
-        )
-        row["kv_dedup_factor"] = safe_ratio(
-            sum(rs.kv_logical_bytes for rs in result.rank_stats),
-            sum(rs.kv_reserved_bytes for rs in result.rank_stats),
-            default=1.0,
-        )
+        _add_deployment_totals(by_scope["all"], result)
     for rs in result.rank_stats:
         row = by_scope.get(f"rank{rs.rank}")
         if row is None:
@@ -160,10 +134,46 @@ def metrics_table(result: ServingResult) -> List[dict]:
     return table
 
 
+def _add_deployment_totals(row: dict, result: ServingResult) -> dict:
+    """Add ``result``'s deployment-level totals to its ``all`` row."""
+    stats = result.rank_stats
+    row["makespan_s"] = result.makespan_s
+    row["prefill_tokens"] = result.prefill_tokens
+    row["energy_j"] = result.total_energy_j
+    row["energy_mj_per_token"] = safe_ratio(
+        1e3 * result.total_energy_j, result.output_tokens
+    )
+    row["utilization"] = safe_ratio(
+        sum(rs.busy_s for rs in stats), len(stats) * result.makespan_s
+    )
+    row["requeues"] = sum(rs.requeues for rs in stats)
+    row["recompute_tokens"] = sum(rs.recompute_tokens for rs in stats)
+    row["kv_peak_bytes"] = max((rs.kv_peak_bytes for rs in stats), default=0)
+    hits, misses = result.cache_hits, result.cache_misses
+    row["cache_hits"] = hits
+    row["cache_misses"] = misses
+    row["cache_evictions"] = result.cache_evictions
+    row["cache_hit_rate"] = safe_ratio(hits, hits + misses)
+    row["cache_hit_tokens"] = sum(rs.cache_hit_tokens for rs in stats)
+    row["kv_dedup_factor"] = safe_ratio(
+        sum(rs.kv_logical_bytes for rs in stats),
+        sum(rs.kv_reserved_bytes for rs in stats),
+        default=1.0,
+    )
+    return row
+
+
 def summary(result: ServingResult) -> dict:
-    """Flat deployment-level summary (the ``all`` row plus config keys)."""
+    """Flat deployment-level summary (the ``all`` row plus config keys).
+
+    A result with no requests gets the zero-valued ``all`` row, so the
+    summary carries the same keys whatever the trace length.
+    """
     table = metrics_table(result)
-    row = dict(table[0]) if table else {"scope": "all"}
+    row = (
+        dict(table[0]) if table
+        else _add_deployment_totals(serving_row("all", []), result)
+    )
     row.update(
         {
             "model": result.config.model,

@@ -1,7 +1,7 @@
 """Pluggable scheduling policies for the serving simulator.
 
 A :class:`SchedulingPolicy` decides three things for a rank engine
-(:mod:`repro.serving.scheduler`), each through one small hook:
+(:mod:`repro.serving.engine.rank_engine`), each through one small hook:
 
 * **Admission order** — :meth:`~SchedulingPolicy.admission_key` maps a
   waiting request to a sort key; the engine keeps its ready queue as a
@@ -32,7 +32,7 @@ A :class:`SchedulingPolicy` decides three things for a rank engine
 
 Policies are registered by name in :data:`POLICIES` and instantiated
 with :func:`get_policy`; the serving CLI's ``--policy`` flag and
-:class:`~repro.serving.scheduler.ServingConfig.policy` resolve through
+:class:`~repro.serving.engine.config.ServingConfig.policy` resolve through
 that registry.
 
 The four shipped policies:
@@ -75,7 +75,7 @@ class SchedulingPolicy:
 
     Subclasses override any of the three hooks.  The ``state`` objects
     passed in are the engine's per-request scheduling states
-    (:class:`repro.serving.scheduler._RequestState`): ``state.request``
+    (:class:`repro.serving.engine.rank_engine._RequestState`): ``state.request``
     is the immutable :class:`~repro.serving.trace.Request` and
     ``state.tokens_out`` the tokens generated so far.
     """
@@ -103,7 +103,7 @@ class SchedulingPolicy:
         """Cached prefixes to evict so the head candidate can be admitted.
 
         ``evictable`` holds the rank's currently reclaimable
-        :class:`~repro.serving.scheduler.CacheEntry` objects
+        :class:`~repro.serving.engine.cache.CacheEntry` objects
         (refcount-zero and childless) in LRU order; the engine calls
         again with newly unpinned parents until ``need_bytes`` is met or
         nothing remains, and only executes a plan that it can combine

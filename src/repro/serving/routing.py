@@ -63,8 +63,10 @@ def healthy_indices(targets: Sequence, t_s: float) -> list:
     stalled) is included only when it reports healthy; targets without
     replica state (plain sequences, as the rank-sharding driver passes)
     are always included.  Every routing policy becomes health-aware by
-    selecting over the filtered candidate list — fault-free cluster runs
-    never call this, so the unfiltered paths stay bit-identical.
+    selecting over the filtered candidate list.  The cluster probes
+    health only under a fault plan: without one every deployment is
+    healthy, so fault-free runs route over the full list and skip the
+    per-arrival probe.
     """
     out = []
     for index, target in enumerate(targets):

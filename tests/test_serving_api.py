@@ -1,15 +1,18 @@
 """API-surface pin: the monolith split must not drop public names.
 
-``repro.serving.scheduler`` became a re-export shim over the
-``repro.serving.engine`` package; these tests freeze the import
-contract so downstream code (and the goldens) keep working against
-either module path.
+The serving engine lives in the ``repro.serving.engine`` package and
+its public names are re-exported by ``repro.serving``; these tests
+freeze that import contract, including the private engine internals
+the replay oracle and the tests reach for in their submodules.
 """
 
 import importlib
 
 import pytest
 
+#: The engine package's public surface — the names the retired scheduler
+#: shim re-exported, so each former shim import needs only its module
+#: path changed.
 SCHEDULER_EXPORTS = (
     "ENGINES",
     "CacheEntry",
@@ -61,7 +64,7 @@ PACKAGE_EXPORTS = SCHEDULER_EXPORTS + (
 
 @pytest.mark.parametrize("name", SCHEDULER_EXPORTS)
 def test_scheduler_shim_exports(name):
-    module = importlib.import_module("repro.serving.scheduler")
+    module = importlib.import_module("repro.serving.engine")
     assert hasattr(module, name)
     assert name in module.__all__
 
@@ -73,11 +76,11 @@ def test_package_exports(name):
     assert name in module.__all__
 
 
-def test_shim_and_engine_are_same_objects():
-    shim = importlib.import_module("repro.serving.scheduler")
+def test_package_and_engine_are_same_objects():
+    package = importlib.import_module("repro.serving")
     engine = importlib.import_module("repro.serving.engine")
     for name in SCHEDULER_EXPORTS:
-        assert getattr(shim, name) is getattr(engine, name)
+        assert getattr(package, name) is getattr(engine, name)
 
 
 def test_engine_package_layout():
@@ -88,6 +91,8 @@ def test_engine_package_layout():
 
 def test_private_engine_names_still_reachable():
     # The experiment layer and tests reach for the private spine.
-    shim = importlib.import_module("repro.serving.scheduler")
-    for name in ("_CostCache", "_RankEngine", "_RequestState"):
-        assert hasattr(shim, name)
+    for submodule, name in (("costs", "_CostCache"),
+                            ("rank_engine", "_RankEngine"),
+                            ("rank_engine", "_RequestState")):
+        module = importlib.import_module(f"repro.serving.engine.{submodule}")
+        assert hasattr(module, name)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.experiments.io import read_csv, read_json
 from repro.serving import main
 
@@ -209,6 +211,27 @@ def test_cli_zero_requests(tmp_path):
     payload = read_json(out)
     assert payload["requests"] == []
     assert payload["metrics"] == []
+
+
+@pytest.mark.parametrize("mode", ([], ["--cluster"]))
+def test_cli_zero_requests_writes_complete_summary(tmp_path, mode):
+    """A zero-request run reports zero counts, not a summary stripped
+    down to its config keys; cluster deployment rows likewise."""
+    out = str(tmp_path / "empty.json")
+    assert main(["--model", "gpt-125m", "--requests", "0", "--quiet",
+                 "--output", out] + mode) == 0
+    payload = read_json(out)
+    rows = [payload["summary"]] + payload.get("deployments", [])
+    for row in rows:
+        for key in ("requests", "completed", "rejected", "failed"):
+            assert row[key] == 0, key
+        assert row["output_tokens_per_s"] == 0.0
+        assert row["slo_attainment"] == 1.0
+    if mode:
+        assert len(rows) > 1  # the cluster's per-deployment rows too
+    else:
+        assert payload["summary"]["energy_j"] == 0.0
+        assert payload["summary"]["makespan_s"] == 0.0
 
 
 def test_cli_trace_out_writes_valid_chrome_trace(tmp_path, capsys):

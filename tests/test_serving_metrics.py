@@ -8,7 +8,7 @@ from repro.experiments.io import read_csv, write_csv
 from repro.experiments.tables import safe_ratio, serving_table
 from repro.serving import ServingConfig, TraceSpec, generate_trace, simulate_trace
 from repro.serving.metrics import metrics_table, record_rows, summary
-from repro.serving.scheduler import RequestRecord, ServingResult
+from repro.serving.engine import RequestRecord, ServingResult
 
 
 def _result(**record_kwargs):
