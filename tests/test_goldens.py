@@ -16,6 +16,16 @@ Small JSON goldens are checked in under ``tests/goldens/``:
 * ``cluster_chaos.json`` — the records, fault events and scale events
   of a ``p2c`` cluster run with a crash + stall + degrade plan,
   retries, tier shedding and the autoscaler.
+* ``trace_<name>.json`` — the full recorded event stream of a traced
+  run (every event's kind, time, rank, request id and payload, in
+  payload-key order) plus the tracer registry's counters, gauges and
+  sampled series: ``trace_prefix_cache.json`` is the KV-starved
+  prefix-cache fixture of ``tests/test_serving_prefix_cache.py`` with
+  one oversized request appended (preemption, requeue, rejection, cache
+  hits and evictions; one run per object engine) and
+  ``trace_cluster_chaos.json`` a ``p2c`` cluster run with a fault plan,
+  retries, shedding and the autoscaler (every cluster and fault kind).
+  Together they cover every event kind.
 
 Each cluster golden holds one run per object engine (``event`` and
 ``loop``): under lazy advance the routers observe each engine's own
@@ -44,6 +54,7 @@ layer-identical blocks instead of re-summing per layer (float-rounding
 level shifts).
 """
 
+import dataclasses
 import json
 import os
 import sys
@@ -52,6 +63,7 @@ import pytest
 
 from repro.experiments.sweep import SweepSpec, run_sweep
 from repro.experiments.tables import latency_table
+from repro.obs import EVENT_KINDS, RecordingTracer
 from repro.serving import (
     POLICIES,
     ROUTERS,
@@ -60,6 +72,7 @@ from repro.serving import (
     Deployment,
     FaultPlan,
     FaultSpec,
+    Request,
     RetryPolicy,
     ServingConfig,
     TraceSpec,
@@ -68,6 +81,8 @@ from repro.serving import (
     simulate_trace,
     summary,
 )
+
+from test_serving_prefix_cache import _fuzz_spec, _starved_config
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 ALL_POLICIES = sorted(POLICIES)
@@ -222,6 +237,81 @@ def _build_cluster_golden(name: str, engine: str):
     })
 
 
+# A stall long enough to catch a busy step boundary on rank 3, so the
+# traced chaos run emits every fault kind next to every cluster kind.
+TRACE_CHAOS_PLAN = FaultPlan((
+    FaultSpec("crash", 0, 2.0),
+    FaultSpec("stall", 3, 1.0, duration_s=200.0),
+    FaultSpec("degrade", 1, 0.0, duration_s=1e6, factor=3.0),
+))
+TRACE_GOLDENS = ("prefix_cache", "cluster_chaos")
+
+
+def _trace_runs(name: str):
+    """``(engine, tracer)`` pairs of one traced golden fixture."""
+    runs = []
+    if name == "prefix_cache":
+        trace = generate_trace(_fuzz_spec(0))
+        # One request no KV budget can ever hold: pins the reject path.
+        trace.append(Request(req_id=len(trace), arrival_s=trace[-1].arrival_s,
+                             prompt_tokens=4096, gen_tokens=8))
+        for engine in CLUSTER_ENGINES:
+            tracer = RecordingTracer("full")
+            config = dataclasses.replace(_starved_config(), engine=engine)
+            simulate_trace(trace, config, tracer=tracer)
+            runs.append((engine, tracer))
+    else:
+        tracer = RecordingTracer("full")
+        simulate_cluster(
+            generate_trace(CLUSTER_CHAOS_SPEC),
+            _cluster_fleet("event", prefix_cache=False), router="p2c",
+            autoscaler=Autoscaler(AutoscalerConfig(
+                max_replicas=3, queue_high=4.0, interval_s=1.0,
+            )),
+            faults=TRACE_CHAOS_PLAN,
+            retry_policy=RetryPolicy(max_retries=3), shed_tier=1,
+            tracer=tracer,
+        )
+        runs.append(("event", tracer))
+    return runs
+
+
+def _build_trace_golden(name: str):
+    """Every recorded event plus the registry's counters, gauges and
+    series.  Payloads are ``[key, value]`` pairs so key order is pinned
+    (the timeline columns follow it).  Histograms are left out: their
+    float sums depend on observation order, and their agreement with
+    the request records is tested directly."""
+    golden = {}
+    for engine, tracer in _trace_runs(name):
+        registry = tracer.registry
+        golden[engine] = _rounded({
+            "events": [
+                [e.kind, e.t_s, e.rank, e.req_id, [[k, v] for k, v in e.data.items()]]
+                for e in tracer.events
+            ],
+            "counters": {n: c.value for n, c in sorted(registry.counters.items())},
+            "gauges": {n: [g.value, g.max_value]
+                       for n, g in sorted(registry.gauges.items())},
+            "series": registry.series_rows(),
+        })
+    return golden
+
+
+def _dump_trace_golden(fh, golden) -> None:
+    """One event / series row per line, so drift diffs per event."""
+    runs = []
+    for engine, run in golden.items():
+        fields = [
+            f"  {json.dumps(key)}: [\n" + ",\n".join(
+                f"   {json.dumps(item)}" for item in value) + "\n  ]"
+            if isinstance(value, list) else f"  {json.dumps(key)}: {json.dumps(value)}"
+            for key, value in run.items()
+        ]
+        runs.append(f" {json.dumps(engine)}: {{\n" + ",\n".join(fields) + "\n }")
+    fh.write("{\n" + ",\n".join(runs) + "\n}\n")
+
+
 def _golden_path(name: str) -> str:
     return os.path.join(GOLDEN_DIR, name)
 
@@ -330,6 +420,21 @@ def test_cluster_goldens_pin_routing_and_recovery():
         assert {"replace", "scale_up"} <= actions, engine
 
 
+@pytest.mark.parametrize("name", TRACE_GOLDENS)
+def test_trace_matches_golden(name):
+    assert _build_trace_golden(name) == _load(f"trace_{name}.json")
+
+
+def test_trace_goldens_cover_every_event_kind():
+    kinds = {
+        event[0]
+        for name in TRACE_GOLDENS
+        for run in _load(f"trace_{name}.json").values()
+        for event in run["events"]
+    }
+    assert kinds == set(EVENT_KINDS)
+
+
 def test_goldens_pin_distinct_policies():
     """The checked-in fixtures themselves prove the policies diverge."""
     summaries = {p: _load(f"serving_{p}.json") for p in ALL_POLICIES}
@@ -355,6 +460,11 @@ def _update() -> None:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
         print(f"wrote {_golden_path(name)}")
+    for name in TRACE_GOLDENS:
+        path = _golden_path(f"trace_{name}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            _dump_trace_golden(fh, _build_trace_golden(name))
+        print(f"wrote {path}")
 
 
 if __name__ == "__main__":
