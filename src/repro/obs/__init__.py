@@ -3,9 +3,10 @@
 The telemetry layer for :mod:`repro.serving` — what a production fleet
 would export to its monitoring stack, reconstructed for the simulator:
 
-* :mod:`repro.obs.tracer` — typed per-request lifecycle events emitted
-  from instrumentation hooks in the rank engines; the null
-  :class:`Tracer` keeps the untraced hot path branch-cheap, the
+* :mod:`repro.obs.tracer` — typed lifecycle events, declared once in
+  :data:`EVENT_SCHEMA` and reported through a single ``emit`` hook from
+  the rank engines and the cluster layer; the null :class:`Tracer`
+  keeps the untraced hot path branch-cheap, the
   :class:`RecordingTracer` records events and aggregates them,
 * :mod:`repro.obs.registry` — Prometheus-style counters, gauges,
   log-bucketed histograms and sampled time series,
@@ -27,6 +28,7 @@ from repro.obs.registry import (
 )
 from repro.obs.tracer import (
     EVENT_KINDS,
+    EVENT_SCHEMA,
     LIFECYCLE_KINDS,
     TRACE_LEVELS,
     RecordingTracer,
@@ -49,6 +51,7 @@ __all__ = [
     "LogHistogram",
     "MetricsRegistry",
     "TimeSeries",
+    "EVENT_SCHEMA",
     "EVENT_KINDS",
     "LIFECYCLE_KINDS",
     "TRACE_LEVELS",

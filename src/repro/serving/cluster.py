@@ -560,7 +560,9 @@ class Cluster:
                         self._unplaced_record(request), t, shed=True
                     )
                     if tracer is not None:
-                        tracer.shed(t, "cluster", req_id, request.priority)
+                        tracer.emit("shed", t, -1, req_id,
+                                    deployment="cluster",
+                                    priority=request.priority)
                     continue
                 healthy = (
                     healthy_indices(deployments, t) if fault_mode else every
@@ -577,8 +579,10 @@ class Cluster:
                     self._retry_counts[req_id] = attempt
                     backoff = retry.backoff_s(req_id, attempt)
                     if tracer is not None:
-                        tracer.retry(
-                            t + backoff, "cluster", req_id, attempt, backoff
+                        tracer.emit(
+                            "retry", t + backoff, -1, req_id,
+                            deployment="cluster", attempt=attempt,
+                            backoff_s=backoff,
                         )
                     heapq.heappush(retries, (
                         t + backoff, self._next_seq(),
@@ -594,8 +598,10 @@ class Cluster:
                     # Sticky deployment is down or frozen: fail over.
                     self._count_failover(req_id)
                     if tracer is not None:
-                        tracer.failover(
-                            t, deployments[target].name, req_id, -1
+                        tracer.emit(
+                            "failover", t, -1, req_id,
+                            deployment=deployments[target].name,
+                            from_rank=-1,
                         )
                     target = -1
                     session_target.pop(session, None)
@@ -619,11 +625,14 @@ class Cluster:
                     # The retry moved off the replica that crashed.
                     self._count_failover(req_id)
                     if tracer is not None:
-                        tracer.failover(
-                            t, deployment.name, req_id, from_rank
+                        tracer.emit(
+                            "failover", t, -1, req_id,
+                            deployment=deployment.name, from_rank=from_rank,
                         )
                 if tracer is not None:
-                    tracer.route(t, deployment.name, req_id, router.name)
+                    tracer.emit("route", t, -1, req_id,
+                                deployment=deployment.name,
+                                router=router.name)
             for deployment in deployments:
                 deployment.drain()
             if self._crash_box:
@@ -678,7 +687,9 @@ class Cluster:
         def on_failover(t_s: float, req_id: int, from_rank: int) -> None:
             self._count_failover(req_id)
             if self._trace is not None:
-                self._trace.failover(t_s, deployment.name, req_id, from_rank)
+                self._trace.emit("failover", t_s, -1, req_id,
+                                 deployment=deployment.name,
+                                 from_rank=from_rank)
         return on_failover
 
     def _count_failover(self, req_id: int) -> None:
@@ -730,8 +741,10 @@ class Cluster:
                 backoff = retry.backoff_s(req_id, attempt)
                 t_retry = max(t_crash + backoff, self._now)
                 if self._trace is not None:
-                    self._trace.retry(
-                        t_retry, deployment.name, req_id, attempt, backoff
+                    self._trace.emit(
+                        "retry", t_retry, -1, req_id,
+                        deployment=deployment.name, attempt=attempt,
+                        backoff_s=backoff,
                     )
                 heapq.heappush(retries, (
                     t_retry, self._next_seq(),

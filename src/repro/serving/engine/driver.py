@@ -30,7 +30,12 @@ from repro.serving.engine.records import (
     RequestRecord,
     ServingResult,
 )
-from repro.serving.engine.soa_engine import FAULT_ERROR, _SoaEngine
+from repro.serving.engine.soa_engine import (
+    FAULT_ERROR,
+    PROFILER_ERROR,
+    TRACER_ERROR,
+    _SoaEngine,
+)
 from repro.serving.policy import SchedulingPolicy
 from repro.serving.routing import RoundRobinRouter
 from repro.serving.trace import Request
@@ -217,7 +222,10 @@ def simulate_trace(
     quantization policy; ``sched_policy`` overrides the scheduling
     policy named by ``config.policy`` (useful for pre-configured policy
     instances).  ``tracer`` (a :class:`repro.obs.tracer.Tracer`, e.g.
-    the recording tracer) receives every engine lifecycle event;
+    the recording tracer) receives every engine event through its
+    ``emit`` hook (kinds and payloads per
+    :data:`repro.obs.tracer.EVENT_SCHEMA`) and the per-rank snapshots
+    through ``sample`` (object engines only);
     ``profiler`` (a :class:`repro.obs.profile.SelfProfiler`) accumulates
     the engines' own wall-clock phase times.  Both default to off with
     no hot-path cost beyond one branch per scheduler event.  ``faults``
@@ -241,15 +249,9 @@ def simulate_trace(
     have_faults = faults is not None and not faults.empty
     if config.engine == "soa":
         if tracer is not None and tracer.enabled:
-            raise ValueError(
-                "engine tracing requires an object engine (engine='event' "
-                "or 'loop'); the soa engine emits no per-event trace"
-            )
+            raise ValueError(TRACER_ERROR)
         if profiler is not None:
-            raise ValueError(
-                "the self-profiler requires an object engine "
-                "(engine='event' or 'loop')"
-            )
+            raise ValueError(PROFILER_ERROR)
         if have_faults:
             raise ValueError(FAULT_ERROR)
         return _simulate_trace_soa(

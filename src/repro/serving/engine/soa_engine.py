@@ -70,13 +70,22 @@ from repro.serving.policy import (
 )
 from repro.serving.trace import Request
 
-__all__ = ["_SoaEngine", "FAULT_ERROR"]
+__all__ = ["_SoaEngine", "FAULT_ERROR", "TRACER_ERROR", "PROFILER_ERROR"]
 
 #: Why a soa replica refuses a fault plan; the driver and the cluster
 #: raise it up front, before any replica is built.
 FAULT_ERROR = (
     "fault injection requires an object engine (engine='event' or "
     "'loop'); the soa engine has no fault hooks"
+)
+#: Why a soa replica refuses an enabled tracer.
+TRACER_ERROR = (
+    "engine tracing requires an object engine (engine='event' or "
+    "'loop'); the soa engine emits no per-event trace"
+)
+#: Why a soa replica refuses the self-profiler.
+PROFILER_ERROR = (
+    "the self-profiler requires an object engine (engine='event' or 'loop')"
 )
 
 
@@ -140,16 +149,9 @@ class _SoaEngine:
                 "use engine='event' or 'loop'"
             )
         if tracer is not None and tracer.enabled:
-            raise ValueError(
-                "engine tracing requires an object engine "
-                "(engine='event' or 'loop'); the soa engine emits no "
-                "per-event trace"
-            )
+            raise ValueError(TRACER_ERROR)
         if profiler is not None:
-            raise ValueError(
-                "the self-profiler requires an object engine "
-                "(engine='event' or 'loop')"
-            )
+            raise ValueError(PROFILER_ERROR)
         ptype = type(policy)
         if ptype is ChunkedPrefillPolicy:
             self._fifo = True

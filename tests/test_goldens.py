@@ -63,7 +63,7 @@ import pytest
 
 from repro.experiments.sweep import SweepSpec, run_sweep
 from repro.experiments.tables import latency_table
-from repro.obs import EVENT_KINDS, RecordingTracer
+from repro.obs import EVENT_KINDS, EVENT_SCHEMA, RecordingTracer
 from repro.serving import (
     POLICIES,
     ROUTERS,
@@ -433,6 +433,20 @@ def test_trace_goldens_cover_every_event_kind():
         for event in run["events"]
     }
     assert kinds == set(EVENT_KINDS)
+
+
+@pytest.mark.parametrize("name", TRACE_GOLDENS)
+def test_trace_payloads_follow_event_schema(name):
+    """``emit`` takes its payload as unchecked keywords, so a misspelled,
+    missing or reordered keyword at a call site is caught here."""
+    lanes = {"request": lambda e: e.rank >= 0 and e.req_id is not None,
+             "rank": lambda e: e.rank >= 0 and e.req_id is None,
+             "cluster": lambda e: e.rank == -1}
+    for engine, tracer in _trace_runs(name):
+        for event in tracer.events:
+            spec = EVENT_SCHEMA[event.kind]
+            assert tuple(event.data) == spec.fields, (engine, event)
+            assert lanes[spec.scope](event), (engine, event)
 
 
 def test_goldens_pin_distinct_policies():

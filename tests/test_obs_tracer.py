@@ -4,12 +4,14 @@ import pytest
 
 from repro.obs import (
     EVENT_KINDS,
+    EVENT_SCHEMA,
     LIFECYCLE_KINDS,
     TRACE_LEVELS,
     RecordingTracer,
     SelfProfiler,
     Tracer,
 )
+from repro.obs.tracer import CLUSTER_KINDS, FAULT_EVENT_KINDS
 from repro.serving import ServingConfig, TraceSpec, generate_trace, simulate_trace
 
 
@@ -32,18 +34,38 @@ def test_null_tracer_is_disabled_noop():
     t = Tracer()
     assert t.enabled is False
     assert t.wants_engine_detail is False
-    # Every hook is callable and returns None.
-    t.arrive(0.0, 0, None)
-    t.admit(0.0, 0, 1, 0, 0, False, 0)
-    t.preempt(0.0, 0, 1, 0, 0)
-    t.requeue(0.0, 0, 1)
-    t.reject(0.0, 0, 1, 0)
-    t.prefill_chunk_start(0.0, 0, 1, 0, 8)
-    t.prefill_chunk_end(0.0, 0, 1, 8, 0.1, 0.1)
-    t.first_token(0.0, 0, 1)
-    t.decode_segment(0.0, 0, 2, 4, 0.1, 0.1)
-    t.finish(0.0, 0, 1, 8)
-    t.sample(0.0, 0, 0, 0, 0)
+    # Both hooks are callable and return None, for every kind.
+    for kind in EVENT_KINDS:
+        payload = dict.fromkeys(EVENT_SCHEMA[kind].fields, 0)
+        assert t.emit(kind, 0.0, 0, 1, **payload) is None
+    assert t.sample(0.0, 0, 0, 0, 0) is None
+
+
+def test_null_tracer_hook_surface_is_emit_and_sample():
+    hooks = {name for name, value in vars(Tracer).items()
+             if callable(value) and not name.startswith("_")}
+    assert hooks == {"emit", "sample"}
+
+
+def test_event_kind_tuples_are_pinned():
+    assert EVENT_KINDS == (
+        "arrive", "admit", "preempt", "requeue", "reject",
+        "prefill_chunk_start", "prefill_chunk_end", "first_token",
+        "cache_hit", "cache_evict", "decode_segment", "finish",
+        "fault_crash", "fault_stall", "fault_degrade",
+        "route", "scale_up", "scale_up_warm", "scale_down", "replace",
+        "retry", "failover", "shed",
+    )
+    assert LIFECYCLE_KINDS == (
+        "arrive", "admit", "preempt", "requeue", "reject",
+        "prefill_chunk_start", "prefill_chunk_end", "first_token",
+        "cache_hit", "finish",
+    )
+    assert CLUSTER_KINDS == (
+        "route", "scale_up", "scale_up_warm", "scale_down", "replace",
+        "retry", "failover", "shed",
+    )
+    assert FAULT_EVENT_KINDS == ("fault_crash", "fault_stall", "fault_degrade")
 
 
 def test_null_tracer_run_matches_untraced_run():

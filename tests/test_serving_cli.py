@@ -6,6 +6,7 @@ import pytest
 
 from repro.experiments.io import read_csv, read_json
 from repro.serving import main
+from repro.serving.engine.soa_engine import TRACER_ERROR
 
 
 def test_cli_smoke_prints_metrics(capsys):
@@ -101,6 +102,16 @@ def test_cli_engine_flag(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "unknown serving engine" in err and "event" in err
     assert "Traceback" not in err
+
+
+def test_cli_rejects_tracing_the_soa_engine(tmp_path, capsys):
+    code = main(["--model", "gpt-125m", "--requests", "4", "--engine", "soa",
+                 "--trace-out", str(tmp_path / "trace.json"), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert TRACER_ERROR in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "trace.json").exists()
 
 
 def test_cli_compare_workers_match_sequential(tmp_path):

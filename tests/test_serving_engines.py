@@ -13,6 +13,7 @@ rejection and requeue paths through the segment machinery).
 
 import dataclasses
 import math
+import re
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.serving import (
     simulate_trace,
     summary,
 )
+from repro.serving.engine.soa_engine import PROFILER_ERROR, TRACER_ERROR
 
 ALL_POLICIES = sorted(POLICIES)
 SEEDS = range(10)
@@ -351,10 +353,25 @@ def test_soa_rejects_tracing_and_profiling():
 
     trace = generate_trace(TraceSpec(num_requests=4, seed=0))
     config = ServingConfig(model="gpt-125m", num_ranks=1, engine="soa")
-    with pytest.raises(ValueError, match="tracing"):
+    with pytest.raises(ValueError, match=re.escape(TRACER_ERROR)):
         simulate_trace(trace, config, tracer=RecordingTracer())
-    with pytest.raises(ValueError, match="profiler"):
+    with pytest.raises(ValueError, match=re.escape(PROFILER_ERROR)):
         simulate_trace(trace, config, profiler=SelfProfiler())
+
+
+def test_soa_replica_rejects_tracing_and_profiling():
+    """A cluster builds its soa replicas directly, so the engine itself
+    refuses a recording tracer or a profiler."""
+    from repro.obs.profile import SelfProfiler
+    from repro.obs.tracer import RecordingTracer
+    from repro.serving import Deployment, simulate_cluster
+
+    trace = generate_trace(TraceSpec(num_requests=4, seed=0))
+    config = ServingConfig(model="gpt-125m", num_ranks=1, engine="soa")
+    with pytest.raises(ValueError, match=re.escape(TRACER_ERROR)):
+        simulate_cluster(trace, [Deployment(config)], tracer=RecordingTracer())
+    with pytest.raises(ValueError, match=re.escape(PROFILER_ERROR)):
+        simulate_cluster(trace, [Deployment(config)], profiler=SelfProfiler())
 
 
 def test_soa_rejects_custom_policies():

@@ -445,6 +445,35 @@ def test_replay_oracle_reconstructs_fault_counters():
         assert counters["retry_attempts"].get(rec.req_id, 0) == rec.retries
 
 
+def _standalone_crash_run():
+    trace = _trace(5, requests=48, rate=50.0)
+    config = ServingConfig(model="gpt-125m", num_ranks=2)
+    tracer = RecordingTracer(level="full")
+    plan = FaultPlan((FaultSpec("crash", 0, 0.5),))
+    result = simulate_trace(trace, config, tracer=tracer, faults=plan)
+    return tracer, result
+
+
+@pytest.mark.parametrize("run", ("cluster", "standalone"))
+def test_tracer_histograms_match_records_despite_crash_losses(run):
+    """A crash-lost request observes nothing; a retried one is measured
+    from its origin arrival to the surviving attempt's stamps."""
+    if run == "cluster":
+        _, tracer, result = _chaos_run_with_tracer()
+        assert any(r.retries for r in result.records)
+    else:
+        tracer, result = _standalone_crash_run()
+        assert any(r.status == "failed" for r in result.records)
+    done = [r for r in result.records if r.status == "completed"]
+    for name, records in (("ttft_s", done), ("latency_s", done),
+                          ("queue_s", done),
+                          ("tpot_s", [r for r in done if r.gen_tokens >= 2])):
+        hist = tracer.registry.histograms[name]
+        assert hist.count == len(records), name
+        expected = sum(getattr(r, name) for r in records) / len(records)
+        assert hist.mean == pytest.approx(expected, rel=1e-9), name
+
+
 def test_replay_oracle_rejects_out_of_order_retries():
     from repro.obs.tracer import TraceEvent
     events = [
@@ -457,12 +486,8 @@ def test_replay_oracle_rejects_out_of_order_retries():
 
 
 def test_replay_result_marks_standalone_crash_losses():
-    trace = _trace(5, requests=48, rate=50.0)
-    config = ServingConfig(model="gpt-125m", num_ranks=2)
-    tracer = RecordingTracer(level="full")
-    plan = FaultPlan((FaultSpec("crash", 0, 0.5),))
-    result = simulate_trace(trace, config, tracer=tracer, faults=plan)
-    replayed = replay_result(tracer.events, config)
+    tracer, result = _standalone_crash_run()
+    replayed = replay_result(tracer.events, result.config)
     assert [(r.req_id, r.status, r.finish_s) for r in result.records] == \
         [(r.req_id, r.status, r.finish_s) for r in replayed.records]
     assert any(r.status == "failed" for r in replayed.records)
