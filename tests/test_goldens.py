@@ -4,6 +4,14 @@ Small JSON goldens are checked in under ``tests/goldens/``:
 
 * ``sweep_latency_table.json`` — the latency table of a tiny two-scheme
   sweep,
+* ``sweep_rows.json`` — every row of a small sweep over every registered
+  scheme, all three cost kernels, two models, two rank counts and a
+  2048-token prompt, stored unrounded: both phases' full ``stats_dict``
+  (``dram_activations``, ``wram_peak_bytes``, ``n_lut_entry_pairs``, ...)
+  and energy, plus the ``status`` / ``error`` of the unsupported points
+  (WRAM overflow, bank capacity, naive-baseline codecs).  The
+  per-projection ``gemms`` dicts are left out to keep the file small;
+  the phase stats are their sums,
 * ``serving_<policy>.json`` — the flat serving summary of one fixed-seed
   bursty trace per scheduling policy (the KV-starved deployment, so the
   ``priority`` golden pins preemption counters too), and
@@ -41,7 +49,9 @@ regenerate with::
 
 Floats are rounded to 10 significant digits before comparison, so the
 goldens are stable against float-summation noise while still pinning
-real cost changes.
+real cost changes.  ``sweep_rows.json`` is the exception: it is compared
+exactly, so a change that claims bit-identical kernel costs is held to
+that.
 
 The serving goldens are built with the default event-driven engine and
 must *also* match under ``engine="loop"`` — the engines' metric
@@ -63,7 +73,9 @@ import pytest
 
 from repro.experiments.sweep import SweepSpec, run_sweep
 from repro.experiments.tables import latency_table
+from repro.kernels.cost import COST_KERNELS
 from repro.obs import EVENT_KINDS, EVENT_SCHEMA, RecordingTracer
+from repro.quant import list_schemes
 from repro.serving import (
     POLICIES,
     ROUTERS,
@@ -93,6 +105,14 @@ CLUSTER_GOLDENS = tuple(ALL_ROUTERS) + ("chaos",)
 SWEEP_SPEC = SweepSpec(
     models=("gpt-125m",), schemes=("W1A3", "W4A4"), prefill_lens=(32,),
     decode_tokens=8,
+)
+
+# Every scheme x kernel on two models and two deployments; the 2048-token
+# prompt overflows a bank on gpt-1.3b, pinning those error rows too.
+SWEEP_ROWS_SPEC = SweepSpec(
+    models=("gpt-125m", "gpt-1.3b"), schemes=tuple(list_schemes()),
+    kernels=COST_KERNELS, prefill_lens=(32, 2048), decode_tokens=8,
+    num_ranks=(1, 16),
 )
 
 # Seed chosen (after the vectorised trace generator landed) so the
@@ -192,6 +212,17 @@ def _rounded(value, digits: int = 10):
 
 def _build_sweep_golden():
     return _rounded(latency_table(run_sweep(SWEEP_SPEC)))
+
+
+def _build_sweep_rows_golden():
+    """Unrounded sweep rows, minus the per-projection ``gemms``."""
+    return [{k: v for k, v in row.items() if k != "gemms"}
+            for row in run_sweep(SWEEP_ROWS_SPEC)]
+
+
+def _dump_rows(fh, rows) -> None:
+    """One row per line, so drift diffs per grid point."""
+    fh.write("[\n" + ",\n".join(json.dumps(row) for row in rows) + "\n]\n")
 
 
 def _build_serving_golden(policy: str, engine: str = "event"):
@@ -329,6 +360,16 @@ def _load(name: str):
 
 def test_sweep_latency_table_matches_golden():
     assert _build_sweep_golden() == _load("sweep_latency_table.json")
+
+
+def test_sweep_rows_match_golden():
+    golden = _load("sweep_rows.json")
+    assert {row["status"] for row in golden} == {"ok", "unsupported"}
+    assert any("exceeds bank capacity" in row["error"] for row in golden)
+    rows = _build_sweep_rows_golden()
+    assert len(rows) == len(golden)
+    for row, expected in zip(rows, golden):
+        assert row == expected
 
 
 @pytest.mark.parametrize("policy", ALL_POLICIES)
@@ -474,6 +515,10 @@ def _update() -> None:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
         print(f"wrote {_golden_path(name)}")
+    path = _golden_path("sweep_rows.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        _dump_rows(fh, _build_sweep_rows_golden())
+    print(f"wrote {path}")
     for name in TRACE_GOLDENS:
         path = _golden_path(f"trace_{name}.json")
         with open(path, "w", encoding="utf-8") as fh:
