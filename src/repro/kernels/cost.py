@@ -11,6 +11,12 @@ kernel would and routes them through the very same shared cost functions
 (``_lut_cost_stats`` / ``_naive_cost_stats``), so consistency with the
 functional kernels is structural, not coincidental.
 
+A scheme's LUTs depend only on its codecs, so they are built once per
+scheme and shared, read-only, by every cost evaluation of that scheme
+(a cache miss on a new shape or deployment reuses them).  The
+functional kernels still build their own, because the activation zero
+point of real operands enters the table values.
+
 Example
 -------
 >>> from repro.kernels.cost import gemm_cost
@@ -64,6 +70,23 @@ def _dummy_operands(scheme: QuantScheme) -> tuple[QuantizedTensor, QuantizedTens
     return a, w
 
 
+@lru_cache(maxsize=32)
+def _scheme_luts(scheme: QuantScheme) -> tuple[CanonicalLut, ReorderingLut]:
+    """The scheme's canonical and reordering LUTs, built once and shared.
+
+    Building never raises (WRAM overflow is detected later, by
+    :func:`_lut_cost_stats`), so overflowing schemes are memoised too.
+    The tables are set read-only because every cost evaluation of the
+    scheme shares them.
+    """
+    activations, weights = _dummy_operands(scheme)
+    clut = CanonicalLut.build(weights, activations)
+    rlut = ReorderingLut.build(scheme.weight_bits)
+    clut.table.flags.writeable = False
+    rlut.table.flags.writeable = False
+    return clut, rlut
+
+
 @lru_cache(maxsize=65536)
 def _cached_cost(
     scheme: QuantScheme, m: int, k: int, n: int, kernel: str, config: UpmemConfig
@@ -73,14 +96,12 @@ def _cached_cost(
     if kernel == "naive_pim_gemm":
         _check_naive_codecs(scheme.activation_codec, scheme.weight_codec)
         return _naive_cost_stats(system, scheme.activation_bits, m, k, n)
-    activations, weights = _dummy_operands(scheme)
     software_reorder = kernel == "software_reorder_gemm"
-    rlut = None if software_reorder else ReorderingLut.build(scheme.weight_bits)
-    clut = CanonicalLut.build(weights, activations)
+    clut, rlut = _scheme_luts(scheme)
     return _lut_cost_stats(
         system,
         clut,
-        rlut,
+        None if software_reorder else rlut,
         scheme.weight_bits,
         scheme.activation_bits,
         m,

@@ -8,6 +8,12 @@ book-keeping here to report how many row activations their streaming
 pattern causes — the dominant share of DRAM energy in the paper's
 Fig. 14 breakdown — while the *latency* of DRAM→WRAM movement is anchored
 to the profiled DMA constants in :class:`repro.pim.timing.UpmemTimings`.
+
+Row accounting is closed form, O(1) per access whatever its length: an
+access spanning rows ``first..last`` hits at most once (``first``, when it
+is the open row), activates every other row of the span, and leaves
+``last`` open.  So a fresh bank that streams ``total`` bytes back to back
+from address 0 activates exactly ``ceil(total / row_bytes)`` rows.
 """
 
 from __future__ import annotations
@@ -77,16 +83,20 @@ class DramBank:
             )
 
     def _touch_rows(self, address: int, nbytes: int) -> None:
+        """Account one access spanning rows ``first..last`` in closed form.
+
+        Only the first row can hit, and only if it is the open row; every
+        later row of the span is a fresh activation.  The last row is left
+        open.  An empty access touches nothing.
+        """
         if nbytes == 0:
             return
         first = address // self.row_bytes
         last = (address + nbytes - 1) // self.row_bytes
-        for row in range(first, last + 1):
-            if row == self.open_row:
-                self.stats.row_hits += 1
-            else:
-                self.stats.row_misses += 1
-                self.open_row = row
+        hit = int(first == self.open_row)
+        self.stats.row_hits += hit
+        self.stats.row_misses += last - first + 1 - hit
+        self.open_row = last
 
     def read(self, address: int, nbytes: int) -> int:
         """Record a read; returns the number of row activations it caused."""

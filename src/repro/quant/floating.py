@@ -70,12 +70,14 @@ class MinifloatCodec:
         power-of-two-free scale chosen so the largest magnitude maps near the
         top of the representable range.
         """
+        from repro.quant.integer import _reject_non_finite
         from repro.quant.tensor import QuantizedTensor
 
         values = np.asarray(values, dtype=np.float64)
         table = self.code_values()
         max_repr = float(np.max(np.abs(table)))
         max_abs = float(np.max(np.abs(values))) if values.size else 0.0
+        _reject_non_finite(values, max_abs)
         scale = (max_abs / max_repr) if max_abs > 0 else 1.0
         scaled = values / scale
         codes = _nearest_codes(scaled, table)

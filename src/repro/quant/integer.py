@@ -21,6 +21,7 @@ Both are wrapped by :class:`IntegerCodec`, which is the object the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,20 @@ def unsigned_range(bits: int) -> tuple[int, int]:
     return 0, 2**bits - 1
 
 
+def _reject_non_finite(values: np.ndarray, *extremes: float) -> None:
+    """Raise ``ValueError`` if ``values`` holds NaN or infinities.
+
+    ``extremes`` are maxima / minima the caller already reduced ``values``
+    to; NaN and infinities propagate through those reductions, so the
+    full scan that counts the offenders only runs on the error path.
+    """
+    if not all(map(math.isfinite, extremes)):
+        count = int(np.count_nonzero(~np.isfinite(values)))
+        raise ValueError(
+            f"cannot quantize {count} non-finite value(s) (NaN or infinity)"
+        )
+
+
 def quantize_symmetric(values: np.ndarray, bits: int) -> tuple[np.ndarray, float]:
     """Symmetric (zero-point-free) quantization.
 
@@ -75,6 +90,7 @@ def quantize_symmetric(values: np.ndarray, bits: int) -> tuple[np.ndarray, float
     values = np.asarray(values, dtype=np.float64)
     lo, hi = signed_range(bits)
     max_abs = float(np.max(np.abs(values))) if values.size else 0.0
+    _reject_non_finite(values, max_abs)
     if max_abs == 0.0:
         return np.zeros(values.shape, dtype=np.int64), 1.0
     scale = max_abs / hi
@@ -104,6 +120,7 @@ def quantize_asymmetric(values: np.ndarray, bits: int) -> tuple[np.ndarray, floa
     lo, hi = unsigned_range(bits)
     vmin = float(np.min(values)) if values.size else 0.0
     vmax = float(np.max(values)) if values.size else 0.0
+    _reject_non_finite(values, vmin, vmax)
     if vmax == vmin:
         return np.full(values.shape, lo, dtype=np.int64), 1.0, 0
     scale = (vmax - vmin) / (hi - lo)

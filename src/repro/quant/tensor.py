@@ -8,6 +8,7 @@ the host when outputs are rescaled (step 6 in Fig. 4(b) of the paper).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -25,7 +26,7 @@ class QuantizedTensor:
     codes:
         Integer array of quantized codes (``int64``).
     scale:
-        Positive float so that ``value = (code - zero_point) * scale`` for
+        Finite positive float so that ``value = (code - zero_point) * scale`` for
         integer codecs; for minifloat codecs ``value = table[code] * scale``.
     zero_point:
         Integer offset (0 for symmetric quantization and minifloats).
@@ -41,8 +42,8 @@ class QuantizedTensor:
 
     def __post_init__(self) -> None:
         self.codes = np.asarray(self.codes, dtype=np.int64)
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"scale must be finite and positive, got {self.scale}")
 
     @property
     def shape(self) -> tuple:

@@ -1,8 +1,12 @@
 """Cost-only GEMM entry points must match the functional kernels exactly."""
 
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.experiments.sweep import SweepSpec, run_sweep
 from repro.kernels import (
     gemm_cost,
     batch_gemm_cost,
@@ -11,9 +15,18 @@ from repro.kernels import (
     quantize_gemm_operands,
     software_reorder_gemm,
 )
+from repro.kernels.baselines import _check_naive_codecs, _naive_cost_stats
+from repro.kernels.cost import (
+    COST_KERNELS,
+    _cached_cost,
+    _dummy_operands,
+    _scheme_luts,
+)
+from repro.kernels.lut import CanonicalLut, ReorderingLut
+from repro.kernels.lut_gemm import _lut_cost_stats
 from repro.pim.buffer import BufferOverflowError
 from repro.pim.upmem import UpmemConfig, UpmemSystem
-from repro.quant import get_scheme
+from repro.quant import get_scheme, list_schemes
 
 KERNEL_FNS = {
     "lut_gemm": lut_gemm,
@@ -98,3 +111,72 @@ def test_batch_gemm_cost_is_sequential_sum():
     assert total.total_s == pytest.approx(expected.total_s)
     assert total.n_lookups == expected.n_lookups
     assert total.wram_peak_bytes == expected.wram_peak_bytes
+
+
+def _clear_cost_caches():
+    _cached_cost.cache_clear()
+    _scheme_luts.cache_clear()
+
+
+def test_sweep_builds_each_scheme_lut_once(monkeypatch):
+    _clear_cost_caches()
+    calls = Counter()
+    build_clut, build_rlut = CanonicalLut.build, ReorderingLut.build
+
+    def count_clut(weights, activations):
+        calls["canonical"] += 1
+        return build_clut(weights, activations)
+
+    def count_rlut(bits):
+        calls["reordering"] += 1
+        return build_rlut(bits)
+
+    monkeypatch.setattr(CanonicalLut, "build", count_clut)
+    monkeypatch.setattr(ReorderingLut, "build", count_rlut)
+    schemes = tuple(list_schemes())
+    rows = run_sweep(SweepSpec(
+        models=("gpt-125m", "gpt-350m"), schemes=schemes, kernels=COST_KERNELS,
+        batch_sizes=(1, 2), prefill_lens=(16, 64), decode_tokens=4,
+        num_ranks=(1, 4),
+    ))
+    assert any(row["status"] == "unsupported" for row in rows)
+    # At most one build of each LUT per scheme, overflowing ones included.
+    assert 0 < calls["canonical"] <= len(schemes)
+    assert 0 < calls["reordering"] <= len(schemes)
+
+
+def test_memoised_luts_are_read_only():
+    clut, rlut = _scheme_luts(get_scheme("W1A3"))
+    with pytest.raises(ValueError):
+        clut.table[0, 0] = 1
+    with pytest.raises(ValueError):
+        rlut.table[0, 0] = 1
+
+
+def _uncached_cost(scheme, m, k, n, kernel, system):
+    if kernel == "naive_pim_gemm":
+        _check_naive_codecs(scheme.activation_codec, scheme.weight_codec)
+        return _naive_cost_stats(system, scheme.activation_bits, m, k, n)
+    activations, weights = _dummy_operands(scheme)
+    software_reorder = kernel == "software_reorder_gemm"
+    rlut = None if software_reorder else ReorderingLut.build(scheme.weight_bits)
+    clut = CanonicalLut.build(weights, activations)
+    return _lut_cost_stats(system, clut, rlut, scheme.weight_bits,
+                           scheme.activation_bits, m, k, n, software_reorder)
+
+
+@pytest.mark.parametrize("kernel", COST_KERNELS)
+def test_memoised_cost_equals_fresh_uncached_cost(kernel):
+    _clear_cost_caches()
+    system = UpmemSystem(UpmemConfig(num_ranks=2))
+    for name in list_schemes():
+        scheme = get_scheme(name)
+        for m, k, n in [(1, 64, 96), (3, 256, 300), (16, 768, 2304)]:
+            try:
+                expected = _uncached_cost(scheme, m, k, n, kernel,
+                                          UpmemSystem(system.config))
+            except (BufferOverflowError, ValueError) as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    gemm_cost(scheme, m, k, n, system=system, kernel=kernel)
+                continue
+            assert gemm_cost(scheme, m, k, n, system=system, kernel=kernel) == expected

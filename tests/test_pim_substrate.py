@@ -1,6 +1,8 @@
 """Tests for the per-DPU substrate: DramBank, LocalBuffer, DpuProcessor,
 TransferModel and EnergyModel."""
 
+import random
+
 import pytest
 
 from repro.pim import (
@@ -13,6 +15,7 @@ from repro.pim import (
     TransferModel,
 )
 from repro.pim.buffer import BufferOverflowError
+from repro.pim.dram import DramBankStats
 from repro.pim.upmem import ExecutionStats
 
 
@@ -55,6 +58,75 @@ class TestDramBank:
         bank.read(0, 8)
         bank.reset_stats()
         assert bank.stats.reads == 0 and bank.open_row is None
+
+
+class _PerRowBank:
+    """Reference row accounting: one step per touched row."""
+
+    def __init__(self, row_bytes):
+        self.row_bytes = row_bytes
+        self.open_row = None
+        self.stats = DramBankStats()
+
+    def access(self, is_write, address, nbytes):
+        before = self.stats.row_misses
+        if nbytes:
+            first = address // self.row_bytes
+            last = (address + nbytes - 1) // self.row_bytes
+            for row in range(first, last + 1):
+                if row == self.open_row:
+                    self.stats.row_hits += 1
+                else:
+                    self.stats.row_misses += 1
+                    self.open_row = row
+        if is_write:
+            self.stats.writes += 1
+            self.stats.bytes_written += nbytes
+        else:
+            self.stats.reads += 1
+            self.stats.bytes_read += nbytes
+        return self.stats.row_misses - before
+
+
+@pytest.mark.parametrize("row_bytes", [64, 256, 8192])
+def test_closed_form_rows_match_per_row_reference(row_bytes):
+    capacity = 16 * row_bytes
+    rng = random.Random(row_bytes)
+    for _ in range(200):
+        bank = DramBank(capacity_bytes=capacity, row_bytes=row_bytes)
+        ref = _PerRowBank(row_bytes)
+        for _ in range(40):
+            if rng.random() < 0.1:
+                bank.precharge()
+                ref.open_row = None
+                continue
+            nbytes = rng.choice([0, 1, row_bytes - 1, row_bytes, row_bytes + 1,
+                                 rng.randrange(capacity + 1)])
+            if ref.open_row is not None and rng.random() < 0.3:
+                # Start inside the open row: the hit path.
+                address = ref.open_row * row_bytes + rng.randrange(row_bytes)
+            else:
+                address = rng.randrange(capacity)
+            address = min(address, capacity - nbytes)
+            is_write = rng.random() < 0.5
+            access = bank.write if is_write else bank.read
+            assert access(address, nbytes) == ref.access(is_write, address, nbytes)
+            assert bank.stats == ref.stats
+            assert bank.open_row == ref.open_row
+
+
+@pytest.mark.parametrize("row_bytes", [64, 256, 8192])
+def test_back_to_back_stream_activates_ceil_of_total(row_bytes):
+    """The identity the closed-form naive decode sums rely on."""
+    rng = random.Random(row_bytes)
+    for _ in range(200):
+        sizes = [rng.randrange(4 * row_bytes) for _ in range(3)]
+        bank = DramBank(capacity_bytes=16 * row_bytes, row_bytes=row_bytes)
+        weights, acts, outs = sizes
+        bank.read(0, weights)
+        bank.read(weights, acts)
+        bank.write(weights + acts, outs)
+        assert bank.stats.activations == -(-sum(sizes) // row_bytes)
 
 
 class TestLocalBuffer:

@@ -56,6 +56,12 @@ class TestQuantize:
         for v, r in zip(values, recon):
             assert abs(v - r) <= np.min(np.abs(table - v)) + 1e-15
 
+    @pytest.mark.parametrize("codec", [FP4, FP8_E4M3, FP16])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, codec, bad):
+        with pytest.raises(ValueError, match="1 non-finite"):
+            codec.quantize(np.array([1.0, bad, -2.0]))
+
     def test_empty_tensor(self):
         qt = FP4.quantize(np.array([]))
         assert qt.codes.shape == (0,) and qt.scale == 1.0

@@ -148,3 +148,31 @@ class TestIntegerCodec:
         codec = IntegerCodec(bits=3, symmetric=True)
         idx = codec.to_indices(np.arange(-4, 4))
         assert np.array_equal(idx, np.arange(8))
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("bits", [1, 4, 8])
+    def test_symmetric_rejects(self, bits, bad):
+        with pytest.raises(ValueError, match="1 non-finite"):
+            quantize_symmetric(np.array([1.0, bad, -2.0]), bits)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("bits", [1, 4, 8])
+    def test_asymmetric_rejects(self, bits, bad):
+        with pytest.raises(ValueError, match="1 non-finite"):
+            quantize_asymmetric(np.array([1.0, bad, -2.0]), bits)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_codec_names_the_count(self, symmetric):
+        values = np.array([[np.nan, 1.0], [np.inf, -np.inf]])
+        with pytest.raises(ValueError, match="3 non-finite"):
+            IntegerCodec(bits=4, symmetric=symmetric).quantize(values)
+
+    def test_overflowing_range_rejected_by_scale_check(self):
+        # Finite inputs whose range overflows float64 give an infinite scale.
+        with pytest.raises(ValueError, match="finite and positive"):
+            IntegerCodec(bits=4, symmetric=False).quantize(np.array([-1e308, 1e308]))

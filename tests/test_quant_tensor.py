@@ -21,6 +21,11 @@ class TestContainer:
         with pytest.raises(ValueError):
             QuantizedTensor(np.array([0]), scale=0.0, zero_point=0, codec=IntegerCodec(bits=2))
 
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match="finite and positive"):
+            QuantizedTensor(np.array([0]), scale=scale, zero_point=0, codec=IntegerCodec(bits=2))
+
     def test_nbytes_is_bit_packed(self):
         codec = IntegerCodec(bits=2)
         qt = QuantizedTensor(np.zeros(10, dtype=np.int64), 1.0, 0, codec)
