@@ -26,8 +26,9 @@ class QuantizedTensor:
     codes:
         Integer array of quantized codes (``int64``).
     scale:
-        Finite positive float so that ``value = (code - zero_point) * scale`` for
-        integer codecs; for minifloat codecs ``value = table[code] * scale``.
+        Finite positive float so that
+        ``value = (code - zero_point) * scale`` for integer codecs; for
+        minifloat codecs ``value = table[code] * scale``.
     zero_point:
         Integer offset (0 for symmetric quantization and minifloats).
     codec:
