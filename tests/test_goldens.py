@@ -34,6 +34,12 @@ Small JSON goldens are checked in under ``tests/goldens/``:
   ``trace_cluster_chaos.json`` a ``p2c`` cluster run with a fault plan,
   retries, shedding and the autoscaler (every cluster and fault kind).
   Together they cover every event kind.
+* ``metrics_tables.json`` — the unrounded ``metrics_table`` of every
+  ``serving_<policy>`` fixture (``event`` and ``soa`` engines) and every
+  ``serving_conversational_<policy>`` fixture (``event``), plus the
+  ``cluster_summary`` and ``cluster_rows`` of every ``cluster_<name>``
+  fixture (``event`` and ``loop``).  Compared exactly: it pins the
+  aggregation path itself, not just the simulation under it.
 
 Each cluster golden holds one run per object engine (``event`` and
 ``loop``): under lazy advance the routers observe each engine's own
@@ -49,9 +55,9 @@ regenerate with::
 
 Floats are rounded to 10 significant digits before comparison, so the
 goldens are stable against float-summation noise while still pinning
-real cost changes.  ``sweep_rows.json`` is the exception: it is compared
-exactly, so a change that claims bit-identical kernel costs is held to
-that.
+real cost changes.  ``sweep_rows.json`` and ``metrics_tables.json`` are
+the exceptions: they are compared exactly, so a change that claims
+bit-identical kernel costs or summaries is held to that.
 
 The serving goldens are built with the default event-driven engine and
 must *also* match under ``engine="loop"`` — the engines' metric
@@ -93,6 +99,7 @@ from repro.serving import (
     simulate_trace,
     summary,
 )
+from repro.serving.metrics import cluster_rows, cluster_summary, metrics_table
 
 from test_serving_prefix_cache import _fuzz_spec, _starved_config
 
@@ -266,6 +273,38 @@ def _build_cluster_golden(name: str, engine: str):
         "fault_events": result.fault_events,
         "scale_events": result.scale_events,
     })
+
+
+def _metrics_tables_runs(fixture: str):
+    """``(engine, payload)`` pairs of one ``metrics_tables.json`` fixture."""
+    kind, _, name = fixture.partition("_")
+    if kind == "cluster":
+        for engine in CLUSTER_ENGINES:
+            result = _run_cluster_golden(name, engine)
+            yield engine, {"summary": cluster_summary(result),
+                           "rows": cluster_rows(result)}
+    elif name.startswith("conversational_"):
+        policy = name[len("conversational_"):]
+        result = simulate_trace(generate_trace(CONV_TRACE_SPEC),
+                                _conv_config(policy))
+        yield "event", metrics_table(result)
+    else:
+        for engine in ("event", "soa"):
+            result = simulate_trace(generate_trace(TRACE_SPEC),
+                                    _serving_config(name, engine))
+            yield engine, metrics_table(result)
+
+
+METRICS_TABLE_FIXTURES = tuple(
+    [f"serving_{p}" for p in ALL_POLICIES]
+    + [f"serving_conversational_{p}" for p in ALL_POLICIES]
+    + [f"cluster_{name}" for name in CLUSTER_GOLDENS]
+)
+
+
+def _build_metrics_tables_golden():
+    return {fixture: dict(_metrics_tables_runs(fixture))
+            for fixture in METRICS_TABLE_FIXTURES}
 
 
 # A stall long enough to catch a busy step boundary on rank 3, so the
@@ -461,6 +500,15 @@ def test_cluster_goldens_pin_routing_and_recovery():
         assert {"replace", "scale_up"} <= actions, engine
 
 
+@pytest.mark.parametrize("fixture", METRICS_TABLE_FIXTURES)
+def test_metrics_tables_match_golden(fixture):
+    golden = _load("metrics_tables.json")[fixture]
+    runs = dict(_metrics_tables_runs(fixture))
+    assert list(runs) == list(golden)
+    for engine, payload in runs.items():
+        assert payload == golden[engine], engine
+
+
 @pytest.mark.parametrize("name", TRACE_GOLDENS)
 def test_trace_matches_golden(name):
     assert _build_trace_golden(name) == _load(f"trace_{name}.json")
@@ -518,6 +566,11 @@ def _update() -> None:
     path = _golden_path("sweep_rows.json")
     with open(path, "w", encoding="utf-8") as fh:
         _dump_rows(fh, _build_sweep_rows_golden())
+    print(f"wrote {path}")
+    path = _golden_path("metrics_tables.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(_build_metrics_tables_golden(), fh, indent=1)
+        fh.write("\n")
     print(f"wrote {path}")
     for name in TRACE_GOLDENS:
         path = _golden_path(f"trace_{name}.json")
