@@ -14,8 +14,8 @@ renderer :func:`format_table`:
   ablation at model scale),
 * :func:`serving_table` — TTFT / TPOT / latency percentiles,
   SLO attainment, preemption counters and throughput aggregated from
-  per-request serving rows (the :mod:`repro.serving` simulator's
-  figure table),
+  per-request serving record columns (the :mod:`repro.serving`
+  simulator's figure table),
 * :func:`policy_table` — one row per scheduling-policy run over the
   same trace, with each policy's p95 TTFT normalised against the FCFS
   baseline (the latency/throughput-frontier comparison),
@@ -26,7 +26,9 @@ renderer :func:`format_table`:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
+
+import numpy as np
 
 __all__ = [
     "latency_table",
@@ -34,6 +36,7 @@ __all__ = [
     "ablation_table",
     "serving_table",
     "serving_row",
+    "select_rows",
     "policy_table",
     "cluster_table",
     "format_table",
@@ -150,15 +153,13 @@ def percentile(values: Sequence[float], q: float) -> float:
     """Linear-interpolated ``q``-th percentile; 0.0 for an empty sequence.
 
     ``q`` is in ``[0, 100]``.  Matches numpy's default ("linear")
-    definition without requiring an array round-trip.
+    definition; ``values`` may be a list or an array.
     """
     if not 0 <= q <= 100:
         raise ValueError(f"percentile must be in [0, 100], got {q}")
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return float(ordered[0])
+    ordered = np.sort(values)
+    if len(ordered) <= 1:
+        return float(ordered[0]) if len(ordered) else 0.0
     position = (len(ordered) - 1) * q / 100.0
     low = int(position)
     high = min(low + 1, len(ordered) - 1)
@@ -166,84 +167,85 @@ def percentile(values: Sequence[float], q: float) -> float:
     return float(ordered[low] * (1.0 - frac) + ordered[high] * frac)
 
 
-def serving_table(rows: Sequence[dict]) -> List[dict]:
-    """Aggregate per-request serving rows into percentile summary rows.
+def serving_table(columns: Mapping[str, np.ndarray]) -> List[dict]:
+    """Aggregate per-request serving columns into percentile summary rows.
 
-    ``rows`` are per-request dicts as produced by
-    :func:`repro.serving.metrics.record_rows` (keys ``rank``, ``status``,
-    ``ttft_s``, ``tpot_s``, ``latency_s``, ``queue_s``, ``gen_tokens``,
-    ``finish_s``, plus optional ``slo_ttft_s`` / ``preemptions`` and the
-    fault-recovery counters ``retries`` / ``failovers`` / ``shed``).
-    Returns one ``scope="all"`` row followed by one row per rank, each
-    carrying request counts, TTFT/TPOT/latency percentiles over
-    *completed* requests, SLO attainment over SLO-carrying requests
-    (rejected requests count as missed; 1.0 when no request carries an
-    SLO), preemption counts, and output-token throughput over the
-    scope's busy window (trace start to last completion).  When rows
-    carry a ``cache_hit`` flag (prefix-cache runs), TTFT percentiles are
-    additionally split by hit/miss so the cache's first-token win is
-    directly visible.
+    ``columns`` are request-record columns as produced by
+    :func:`repro.serving.engine.records.record_columns`: record fields
+    plus the derived ``ttft_s`` / ``tpot_s`` / ``latency_s`` /
+    ``queue_s``.  Returns one ``scope="all"`` row followed by one row per
+    rank, each carrying request counts, TTFT/TPOT/latency percentiles
+    over *completed* requests (TTFT also split by prefix-cache hit and
+    miss), SLO attainment over SLO-carrying requests (rejected requests
+    count as missed; 1.0 when no request carries an SLO), preemption and
+    fault-recovery counts, and output-token throughput over the scope's
+    busy window (trace start to last completion).
     """
-    if not rows:
+    rank = columns["rank"]
+    if not rank.size:
         return []
-    by_rank: Dict[object, List[dict]] = {}
-    for r in rows:
-        by_rank.setdefault(r["rank"], []).append(r)
-    return [serving_row("all", rows)] + [
-        serving_row(f"rank{rank}", by_rank[rank]) for rank in sorted(by_rank)
+    return [serving_row("all", columns)] + [
+        serving_row(f"rank{r}", select_rows(columns, rank == r))
+        for r in np.unique(rank).tolist()
     ]
 
 
-def serving_row(scope: str, group: Sequence[dict]) -> dict:
+def select_rows(columns: Mapping[str, np.ndarray], mask: np.ndarray) -> dict:
+    """The rows of ``columns`` where ``mask`` holds, order kept."""
+    return {name: col[mask] for name, col in columns.items()}
+
+
+def serving_row(scope: str, group: Mapping[str, np.ndarray]) -> dict:
     """One :func:`serving_table` row: the summary of ``group`` under ``scope``.
 
-    An empty ``group`` gives the zero-valued row (no requests, 0.0
+    ``group`` is a column mapping as :func:`serving_table` takes.  An
+    empty ``group`` gives the zero-valued row (no requests, 0.0
     percentiles, SLO attainment 1.0), so a zero-request run still has a
-    well-formed summary.
+    well-formed summary.  Means add in row order with Python's ``sum``.
     """
-    done = [r for r in group if r["status"] == "completed"]
-    ttfts = [r["ttft_s"] for r in done]
+    status = group["status"]
+    done = status == "completed"
+    ttft_all = group["ttft_s"]
+    ttfts = ttft_all[done]
     # Single-token requests have no post-first-token interval; including
     # their 0.0 placeholder would bias TPOT low.
-    tpots = [r["tpot_s"] for r in done if r["gen_tokens"] >= 2]
-    latencies = [r["latency_s"] for r in done]
-    output_tokens = sum(r["gen_tokens"] for r in done)
-    window = max((r["finish_s"] for r in done), default=0.0)
-    slo_rows = [r for r in group if r.get("slo_ttft_s", 0.0) > 0]
-    slo_met = sum(
-        r["status"] == "completed" and r["ttft_s"] <= r["slo_ttft_s"]
-        for r in slo_rows
-    )
-    hit_ttfts = [r["ttft_s"] for r in done if r.get("cache_hit", False)]
-    miss_ttfts = [r["ttft_s"] for r in done if not r.get("cache_hit", False)]
+    tpots = group["tpot_s"][done & (group["gen_tokens"] >= 2)]
+    latencies = group["latency_s"][done]
+    output_tokens = int(group["gen_tokens"][done].sum())
+    window = float(group["finish_s"][done].max()) if ttfts.size else 0.0
+    slo = group["slo_ttft_s"]
+    slo_requests = int((slo > 0).sum())
+    slo_met = int(((slo > 0) & done & (ttft_all <= slo)).sum())
+    hit_ttfts = ttft_all[done & group["cache_hit"]]
+    miss_ttfts = ttft_all[done & ~group["cache_hit"]]
     return {
         "scope": scope,
-        "requests": len(group),
-        "completed": len(done),
-        "rejected": sum(r["status"] == "rejected" for r in group),
-        "failed": sum(r["status"] == "failed" for r in group),
-        "preemptions": sum(r.get("preemptions", 0) for r in group),
-        "retries": sum(r.get("retries", 0) for r in group),
-        "failovers": sum(r.get("failovers", 0) for r in group),
-        "shed": sum(bool(r.get("shed", False)) for r in group),
-        "slo_requests": len(slo_rows),
-        "slo_attainment": safe_ratio(slo_met, len(slo_rows), default=1.0),
+        "requests": int(status.size),
+        "completed": int(ttfts.size),
+        "rejected": int((status == "rejected").sum()),
+        "failed": int((status == "failed").sum()),
+        "preemptions": int(group["preemptions"].sum()),
+        "retries": int(group["retries"].sum()),
+        "failovers": int(group["failovers"].sum()),
+        "shed": int(group["shed"].sum()),
+        "slo_requests": slo_requests,
+        "slo_attainment": safe_ratio(slo_met, slo_requests, default=1.0),
         "ttft_p50_s": percentile(ttfts, 50),
         "ttft_p95_s": percentile(ttfts, 95),
         "ttft_p99_s": percentile(ttfts, 99),
-        "ttft_mean_s": safe_ratio(sum(ttfts), len(ttfts)),
-        "cache_hit_requests": len(hit_ttfts),
+        "ttft_mean_s": safe_ratio(sum(ttfts.tolist()), ttfts.size),
+        "cache_hit_requests": int(hit_ttfts.size),
         "ttft_hit_p50_s": percentile(hit_ttfts, 50),
         "ttft_hit_p95_s": percentile(hit_ttfts, 95),
         "ttft_miss_p50_s": percentile(miss_ttfts, 50),
         "ttft_miss_p95_s": percentile(miss_ttfts, 95),
-        "tpot_mean_s": safe_ratio(sum(tpots), len(tpots)),
+        "tpot_mean_s": safe_ratio(sum(tpots.tolist()), tpots.size),
         "tpot_p99_s": percentile(tpots, 99),
         "latency_p50_s": percentile(latencies, 50),
         "latency_p95_s": percentile(latencies, 95),
         "latency_p99_s": percentile(latencies, 99),
         "queue_mean_s": safe_ratio(
-            sum(r["queue_s"] for r in done), len(done)
+            sum(group["queue_s"][done].tolist()), ttfts.size
         ),
         "output_tokens": output_tokens,
         "output_tokens_per_s": safe_ratio(output_tokens, window),

@@ -42,12 +42,13 @@ import math
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import Dict, List, Optional, Sequence, Union
 
+from repro.experiments.tables import serving_row
 from repro.model.policy import SchemePolicy
 from repro.pim.energy import EnergyModel
 from repro.serving.engine.config import ServingConfig
 from repro.serving.engine.driver import make_engine, provision
 from repro.serving.engine.rank_engine import _RankEngine
-from repro.serving.engine.records import RequestRecord, ServingResult
+from repro.serving.engine.records import RequestRecord, ServingResult, record_columns
 from repro.serving.engine.soa_engine import FAULT_ERROR
 from repro.serving.faults import FaultPlan, RetryPolicy
 from repro.serving.routing import RoutingPolicy, get_router, healthy_indices
@@ -337,20 +338,20 @@ class ClusterResult:
         out.sort(key=lambda rec: rec.req_id)
         return out
 
+    def _summary(self) -> dict:
+        """The request-level :func:`serving_row` summary of every record,
+        the source of the counters below."""
+        return serving_row("all", record_columns(self.records))
+
     @property
     def requests(self) -> int:
         """Requests accounted for (completed, rejected or failed)."""
-        return sum(
-            len(dep.serving.records) for dep in self.deployments
-        ) + len(self.failed_records)
+        return self._summary()["requests"]
 
     @property
     def completed(self) -> int:
         """Requests that produced all their tokens."""
-        return sum(
-            sum(1 for rec in dep.serving.records if rec.status == "completed")
-            for dep in self.deployments
-        )
+        return self._summary()["completed"]
 
     @property
     def rejected(self) -> int:
@@ -360,39 +361,33 @@ class ClusterResult:
         so a future terminal status (truncated, cancelled) cannot
         silently inflate the rejection count.
         """
-        return sum(
-            sum(1 for rec in dep.serving.records if rec.status == "rejected")
-            for dep in self.deployments
-        )
+        return self._summary()["rejected"]
 
     @property
     def failed(self) -> int:
         """Requests that ended in the terminal ``failed`` status."""
-        return sum(1 for rec in self.records if rec.status == "failed")
+        return self._summary()["failed"]
 
     @property
     def retries(self) -> int:
         """Crash-driven re-submissions across every request."""
-        return sum(rec.retries for rec in self.records)
+        return self._summary()["retries"]
 
     @property
     def failovers(self) -> int:
         """Re-routes away from dead replicas across every request."""
-        return sum(rec.failovers for rec in self.records)
+        return self._summary()["failovers"]
 
     @property
     def shed_requests(self) -> int:
         """Requests dropped by the load-shedder."""
-        return sum(1 for rec in self.records if rec.shed)
+        return self._summary()["shed"]
 
     @property
     def goodput_tokens(self) -> int:
         """Tokens delivered by *completed* requests — unlike
         :attr:`output_tokens`, work lost to crashes does not count."""
-        return sum(
-            rec.gen_tokens for rec in self.records
-            if rec.status == "completed"
-        )
+        return self._summary()["output_tokens"]
 
     @property
     def makespan_s(self) -> float:

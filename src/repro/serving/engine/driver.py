@@ -184,9 +184,7 @@ def _simulate_trace_soa(
         engine = _SoaEngine(rank, (), cache, config, kv_capacity, sched_policy)
         engine.submit_columns(shard)
         rank_stats.append(engine.drain())
-        out = engine.output_columns()
-        out["rank"] = np.full(int(out["req_id"].size), rank, dtype=np.int64)
-        outputs.append(out)
+        outputs.append(engine.output_columns())
     merged = {
         key: np.concatenate([out[key] for out in outputs])
         for key in outputs[0]

@@ -5,20 +5,24 @@ derived latency metrics), :class:`RankStats` the per-replica aggregate
 counters, and :class:`ServingResult` the bundle a whole simulation
 returns — the input type of :mod:`repro.serving.metrics` and of the
 cluster layer's per-deployment slices.
+
+It also owns the one record-column format every metric is computed
+from: :func:`record_columns` turns any record sequence into it, and
+:class:`ColumnRecords` turns it back into records on demand.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, fields
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.serving.engine.config import ServingConfig
 
-__all__ = ["RequestRecord", "RankStats", "ServingResult", "ColumnRecords"]
+__all__ = ["RequestRecord", "RankStats", "ServingResult", "ColumnRecords",
+           "record_columns"]
 
 
 @dataclass
@@ -88,76 +92,119 @@ class RequestRecord:
             return 0.0
         return (self.finish_s - self.first_token_s) / (self.gen_tokens - 1)
 
+
+#: Record fields, in :class:`RequestRecord` constructor order.
+_FIELDS = tuple(f.name for f in fields(RequestRecord))
+#: Field defaults, filled in for a column a producer leaves out.
+_DEFAULTS = {f.name: f.default for f in fields(RequestRecord)}
+#: Timestamps that are ``None`` on a record and NaN in a column.
+_TIMESTAMPS = ("admit_s", "first_token_s", "finish_s")
+#: Column dtype per field; ``status`` is a numpy string column.
+_DTYPES = {name: np.float64 if name.endswith("_s") else np.int64
+           for name in _FIELDS}
+_DTYPES.update(status=str, cache_hit=bool, shed=bool)
+
+
+def _since(t: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """``t - start``, and 0.0 where ``t`` never happened (NaN)."""
+    return np.where(np.isnan(t), 0.0, t - start)
+
+
+def _complete(columns: Dict[str, Sequence]) -> Dict[str, np.ndarray]:
+    """Every field plus the derived metric columns, sorted by ``req_id``.
+
+    Absent fields take their :class:`RequestRecord` default; the sort is
+    stable and skipped when the columns are already in order.
+    """
+    n = len(columns["req_id"])
+    cols = {
+        name: np.asarray(columns[name], dtype=_DTYPES[name]) if name in columns
+        else np.full(n, _DEFAULTS[name], dtype=_DTYPES[name])
+        for name in _FIELDS
+    }
+    req_id = cols["req_id"]
+    if n > 1 and bool(np.any(req_id[1:] < req_id[:-1])):
+        order = np.argsort(req_id, kind="stable")
+        cols = {name: col[order] for name, col in cols.items()}
+    # The RequestRecord properties, vectorised with the same arithmetic.
+    arrival, gen = cols["arrival_s"], cols["gen_tokens"]
+    first, finish = cols["first_token_s"], cols["finish_s"]
+    cols["queue_s"] = _since(cols["admit_s"], arrival)
+    cols["ttft_s"] = _since(first, arrival)
+    cols["tpot_s"] = np.where(
+        np.isnan(first) | (gen < 2), 0.0,
+        _since(finish, first) / np.maximum(gen - 1, 1),
+    )
+    cols["latency_s"] = _since(finish, arrival)
+    return cols
+
+
+def record_columns(records: Sequence) -> Dict[str, np.ndarray]:
+    """``req_id``-sorted columns of any request-record sequence.
+
+    One array per :class:`RequestRecord` field (``None`` timestamps
+    become NaN, ``status`` a string column) plus the derived
+    ``queue_s`` / ``ttft_s`` / ``tpot_s`` / ``latency_s`` columns,
+    equal to the record properties of the same names.  A
+    :class:`ColumnRecords` hands back its arrays without building a
+    single record; any other sequence is read once, field by field.
+
+    >>> cols = record_columns([
+    ...     RequestRecord(1, 0, 0.5, 8, 1, status="rejected"),
+    ...     RequestRecord(0, 0, 0.0, 8, 4, first_token_s=0.5, finish_s=2.0),
+    ... ])
+    >>> cols["status"].tolist(), cols["tpot_s"].tolist()
+    (['completed', 'rejected'], [0.5, 0.0])
+    """
+    if isinstance(records, ColumnRecords):
+        return records.columns
+    # numpy stores a None as NaN in a float column.
+    return _complete({
+        name: np.array([getattr(r, name) for r in records], dtype=_DTYPES[name])
+        for name in _FIELDS
+    })
+
+
 class ColumnRecords(Sequence):
-    """Request records materialised lazily from column arrays.
+    """Request records held as columns, materialised only on demand.
 
     The structure-of-arrays engine finishes a run holding its outcome as
     numpy columns; building a million :class:`RequestRecord` objects up
-    front would cost seconds the caller may never need (the benches only
-    read aggregate counters).  This sequence keeps the columns and
-    builds the record list — sorted by ``req_id``, matching the driver's
+    front would cost seconds the caller may never need (the metrics read
+    the columns through :func:`record_columns`, the benches only
+    aggregate counters).  This sequence keeps the columns and builds
+    the record list — sorted by ``req_id``, matching the driver's
     contract — on first element access; ``len()`` stays O(1) and never
     materialises.
 
-    ``columns`` maps field names to equal-length arrays: ``req_id``,
-    ``rank``, ``arrival_s``, ``prompt_tokens``, ``gen_tokens``,
-    ``priority``, ``slo_ttft_s``, ``session_id``, ``turn``,
-    ``rejected`` (bool), ``admit_s`` / ``first_token_s`` / ``finish_s``
-    (NaN = never happened) and ``preemptions``.
+    ``columns`` maps :class:`RequestRecord` field names to equal-length
+    arrays (timestamps NaN where the event never happened); a field left
+    out takes its record default.
     """
 
-    def __init__(self, columns: dict) -> None:
-        self._columns = columns
+    def __init__(self, columns: Dict[str, np.ndarray]) -> None:
+        self._raw = columns
+        self._columns: Optional[Dict[str, np.ndarray]] = None
         self._items: Optional[List[RequestRecord]] = None
 
     def __len__(self) -> int:
-        return int(self._columns["req_id"].size)
+        return len(self._raw["req_id"])
+
+    @property
+    def columns(self) -> Dict[str, np.ndarray]:
+        """The :func:`record_columns` view: complete, sorted, derived."""
+        if self._columns is None:
+            self._columns = _complete(self._raw)
+        return self._columns
 
     def _materialize(self) -> List[RequestRecord]:
-        if self._items is not None:
-            return self._items
-        cols = self._columns
-        order = np.argsort(cols["req_id"], kind="stable")
-        req_id = cols["req_id"]
-        rank = cols["rank"]
-        arrival = cols["arrival_s"]
-        prompt = cols["prompt_tokens"]
-        gen = cols["gen_tokens"]
-        priority = cols["priority"]
-        slo = cols["slo_ttft_s"]
-        session = cols["session_id"]
-        turn = cols["turn"]
-        rejected = cols["rejected"]
-        admit = cols["admit_s"]
-        first = cols["first_token_s"]
-        finish = cols["finish_s"]
-        preempt = cols["preemptions"]
-        items = []
-        for i in order:
-            items.append(
-                RequestRecord(
-                    req_id=int(req_id[i]),
-                    rank=int(rank[i]),
-                    arrival_s=float(arrival[i]),
-                    prompt_tokens=int(prompt[i]),
-                    gen_tokens=int(gen[i]),
-                    priority=int(priority[i]),
-                    slo_ttft_s=float(slo[i]),
-                    status="rejected" if rejected[i] else "completed",
-                    admit_s=None if math.isnan(admit[i]) else float(admit[i]),
-                    first_token_s=(
-                        None if math.isnan(first[i]) else float(first[i])
-                    ),
-                    finish_s=(
-                        None if math.isnan(finish[i]) else float(finish[i])
-                    ),
-                    preemptions=int(preempt[i]),
-                    session_id=int(session[i]),
-                    turn=int(turn[i]),
-                )
-            )
-        self._items = items
-        return items
+        if self._items is None:
+            values = [self.columns[name].tolist() for name in _FIELDS]
+            for name in _TIMESTAMPS:
+                i = _FIELDS.index(name)
+                values[i] = [None if v != v else v for v in values[i]]
+            self._items = [RequestRecord(*row) for row in zip(*values)]
+        return self._items
 
     def __getitem__(self, index):
         return self._materialize()[index]

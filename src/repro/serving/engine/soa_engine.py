@@ -60,7 +60,7 @@ import numpy as np
 
 from repro.serving.engine.config import ServingConfig
 from repro.serving.engine.costs import _CostCache
-from repro.serving.engine.records import RankStats, RequestRecord
+from repro.serving.engine.records import ColumnRecords, RankStats
 from repro.serving.policy import (
     ChunkedPrefillPolicy,
     FcfsPolicy,
@@ -808,7 +808,7 @@ class _SoaEngine:
             self._step()
         return self.finalize()
 
-    def run(self) -> Tuple[List[RequestRecord], RankStats]:
+    def run(self) -> Tuple[ColumnRecords, RankStats]:
         """Drain the engine and return (records, stats), oracle-style."""
         self.drain()
         return self.records, self.stats
@@ -816,57 +816,30 @@ class _SoaEngine:
     # -- results ---------------------------------------------------------------
 
     def output_columns(self) -> dict:
-        """Outcome columns for every submitted request, submission order."""
-        n = self._n
-        sl = slice(0, n)
-        return {
-            "req_id": self._req_id[sl],
-            "arrival_s": self._arrival[sl],
-            "prompt_tokens": self._prompt[sl],
-            "gen_tokens": self._gen[sl],
-            "priority": self._priority[sl],
-            "slo_ttft_s": self._slo[sl],
-            "session_id": self._session[sl],
-            "turn": self._turn[sl],
-            "rejected": self._rejected[sl],
-            "admit_s": self._admit_s[sl],
-            "first_token_s": self._first_s[sl],
-            "finish_s": self._finish_s[sl],
-            "preemptions": self._npreempt[sl],
-        }
+        """Record columns of every terminal request (completed + rejected).
 
-    @property
-    def records(self) -> List[RequestRecord]:
-        """Terminal :class:`RequestRecord` objects (completed + rejected).
-
-        Materialised on access — in-flight requests (engine not drained)
-        are omitted, exactly as the oracle's ``records`` list only holds
+        Submission order, in the :mod:`~repro.serving.engine.records`
+        column format.  In-flight requests (engine not drained) are
+        omitted, exactly as the oracle's ``records`` list only holds
         finished outcomes.
         """
-        recs: List[RequestRecord] = []
-        for i in range(self._n):
-            rejected = bool(self._rejected[i])
-            finish = self._finish_s[i]
-            if not rejected and math.isnan(finish):
-                continue
-            admit = self._admit_s[i]
-            first = self._first_s[i]
-            recs.append(
-                RequestRecord(
-                    req_id=int(self._req_id[i]),
-                    rank=self.rank,
-                    arrival_s=float(self._arrival[i]),
-                    prompt_tokens=int(self._prompt[i]),
-                    gen_tokens=int(self._gen[i]),
-                    priority=int(self._priority[i]),
-                    slo_ttft_s=float(self._slo[i]),
-                    status="rejected" if rejected else "completed",
-                    admit_s=None if math.isnan(admit) else float(admit),
-                    first_token_s=None if math.isnan(first) else float(first),
-                    finish_s=None if math.isnan(finish) else float(finish),
-                    preemptions=int(self._npreempt[i]),
-                    session_id=int(self._session[i]),
-                    turn=int(self._turn[i]),
-                )
-            )
-        return recs
+        n = self._n
+        rejected = self._rejected[:n]
+        done = rejected | ~np.isnan(self._finish_s[:n])
+        columns = {name: getattr(self, attr)[:n][done] for name, attr in (
+            ("req_id", "_req_id"), ("arrival_s", "_arrival"),
+            ("prompt_tokens", "_prompt"), ("gen_tokens", "_gen"),
+            ("priority", "_priority"), ("slo_ttft_s", "_slo"),
+            ("admit_s", "_admit_s"), ("first_token_s", "_first_s"),
+            ("finish_s", "_finish_s"), ("preemptions", "_npreempt"),
+            ("session_id", "_session"), ("turn", "_turn"),
+        )}
+        columns["rank"] = np.full(int(done.sum()), self.rank, dtype=np.int64)
+        columns["status"] = np.where(rejected[done], "rejected", "completed")
+        return columns
+
+    @property
+    def records(self) -> ColumnRecords:
+        """Terminal :class:`RequestRecord` objects, built on access from
+        :meth:`output_columns`."""
+        return ColumnRecords(self.output_columns())

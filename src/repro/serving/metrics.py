@@ -1,7 +1,12 @@
 """Serving metrics: per-request rows and aggregate summary tables.
 
 Converts a :class:`~repro.serving.engine.records.ServingResult` into the row
-dicts the :mod:`repro.experiments.io` writers consume:
+dicts the :mod:`repro.experiments.io` writers consume.  Every summary
+reads the result's records once as columns
+(:func:`~repro.serving.engine.records.record_columns`, free for the soa
+engine's columnar records) and aggregates them with
+:func:`~repro.experiments.tables.serving_row`, so every engine and the
+cluster layer share one metrics path:
 
 * :func:`record_rows` — one row per request (timestamps plus the
   derived TTFT / TPOT / latency values),
@@ -14,7 +19,8 @@ dicts the :mod:`repro.experiments.io` writers consume:
   equivalents: one row per deployment of a
   :class:`~repro.serving.cluster.ClusterResult` (feeding
   :func:`repro.experiments.tables.cluster_table`) and one flat
-  cluster-wide dict computed in a single pass over all records.
+  cluster-wide dict whose request-level keys are the ``all`` summary
+  of every record.
 
 Metrics glossary (all times in seconds):
 
@@ -40,13 +46,10 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.experiments.tables import (
-    percentile,
-    safe_ratio,
-    serving_row,
-    serving_table,
-)
-from repro.serving.engine import ServingResult
+import numpy as np
+
+from repro.experiments.tables import safe_ratio, select_rows, serving_row
+from repro.serving.engine.records import ServingResult, record_columns
 
 __all__ = [
     "record_rows",
@@ -57,6 +60,17 @@ __all__ = [
 ]
 
 
+#: :func:`record_rows` keys, in output order: record fields, then the
+#: derived-metric properties.
+_ROW_KEYS = (
+    "req_id", "rank", "status", "arrival_s", "prompt_tokens", "gen_tokens",
+    "priority", "slo_ttft_s", "preemptions", "session_id", "turn",
+    "cache_hit", "cached_tokens", "retries", "failovers", "shed",
+    "admit_s", "first_token_s", "finish_s",
+    "queue_s", "ttft_s", "tpot_s", "latency_s",
+)
+
+
 def record_rows(result: ServingResult) -> List[dict]:
     """One JSON/CSV-ready row per request in ``result``.
 
@@ -65,36 +79,7 @@ def record_rows(result: ServingResult) -> List[dict]:
     that timestamp — rendered as JSON ``null`` and an empty CSV cell —
     rather than a fake ``0.0`` that would read as "at trace start".
     """
-    rows = []
-    for rec in result.records:
-        rows.append(
-            {
-                "req_id": rec.req_id,
-                "rank": rec.rank,
-                "status": rec.status,
-                "arrival_s": rec.arrival_s,
-                "prompt_tokens": rec.prompt_tokens,
-                "gen_tokens": rec.gen_tokens,
-                "priority": rec.priority,
-                "slo_ttft_s": rec.slo_ttft_s,
-                "preemptions": rec.preemptions,
-                "session_id": rec.session_id,
-                "turn": rec.turn,
-                "cache_hit": rec.cache_hit,
-                "cached_tokens": rec.cached_tokens,
-                "retries": rec.retries,
-                "failovers": rec.failovers,
-                "shed": rec.shed,
-                "admit_s": rec.admit_s,
-                "first_token_s": rec.first_token_s,
-                "finish_s": rec.finish_s,
-                "queue_s": rec.queue_s,
-                "ttft_s": rec.ttft_s,
-                "tpot_s": rec.tpot_s,
-                "latency_s": rec.latency_s,
-            }
-        )
-    return rows
+    return [{key: getattr(rec, key) for key in _ROW_KEYS} for rec in result.records]
 
 
 def metrics_table(result: ServingResult) -> List[dict]:
@@ -103,15 +88,21 @@ def metrics_table(result: ServingResult) -> List[dict]:
     The ``all`` row carries deployment-level totals (makespan, energy,
     energy per token, preemption/requeue counters); each ``rank<i>`` row
     carries that replica's counters, so imbalance across the round-robin
-    shards is visible.
+    shards is visible.  Every replica in ``rank_stats`` gets a row, an
+    idle one the zero-valued request summary; a run with no requests
+    has an empty table.
     """
-    table = serving_table(record_rows(result))
-    by_scope = {row["scope"]: row for row in table}
-    if "all" in by_scope:
-        _add_deployment_totals(by_scope["all"], result)
-    for rs in result.rank_stats:
-        row = by_scope.get(f"rank{rs.rank}")
-        if row is None:
+    columns = record_columns(result.records)
+    rank = columns["rank"]
+    if not rank.size:
+        return []
+    stats = {rs.rank: rs for rs in result.rank_stats}
+    table = [_add_deployment_totals(serving_row("all", columns), result)]
+    for r in sorted(set(np.unique(rank).tolist()) | stats.keys()):
+        row = serving_row(f"rank{r}", select_rows(columns, rank == r))
+        table.append(row)
+        rs = stats.get(r)
+        if rs is None:
             continue
         row["makespan_s"] = rs.finish_s
         row["prefill_tokens"] = rs.prefill_tokens
@@ -172,7 +163,9 @@ def summary(result: ServingResult) -> dict:
     table = metrics_table(result)
     row = (
         dict(table[0]) if table
-        else _add_deployment_totals(serving_row("all", []), result)
+        else _add_deployment_totals(
+            serving_row("all", record_columns([])), result
+        )
     )
     row.update(
         {
@@ -222,50 +215,20 @@ def cluster_rows(result) -> List[dict]:
 
 
 def cluster_summary(result) -> dict:
-    """Flat cluster-wide summary in one pass over all request records.
+    """Flat cluster-wide summary over every request record.
 
-    Percentiles are computed over *completed* requests across every
-    deployment (unlike the aggregate row of
+    The request-level keys come from the :func:`serving_row` summary of
+    all records, so percentiles are computed over *completed* requests
+    across every deployment (unlike the aggregate row of
     :func:`~repro.experiments.tables.cluster_table`, which cannot
-    re-derive them from per-deployment rows).  Built directly from the
-    records rather than via :func:`serving_table` so million-request
-    cluster benches skip the per-rank row machinery.
+    re-derive them from per-deployment rows); ``goodput_tokens`` is that
+    row's completed-request output.  Preemptions, throughput and energy
+    come from the replicas' counters.
     """
-    ttfts: List[float] = []
-    latencies: List[float] = []
-    requests = 0
-    rejected = 0
-    failed = 0
-    retries = 0
-    failovers = 0
-    shed = 0
-    goodput_tokens = 0
-    slo_requests = 0
-    slo_met = 0
-    for rec in result.records:
-        requests += 1
-        retries += rec.retries
-        failovers += rec.failovers
-        shed += rec.shed
-        if rec.status == "completed":
-            goodput_tokens += rec.gen_tokens
-            ttfts.append(rec.ttft_s)
-            latencies.append(rec.latency_s)
-            if rec.slo_ttft_s > 0:
-                slo_requests += 1
-                slo_met += rec.ttft_s <= rec.slo_ttft_s
-        else:
-            # Count rejections by actual status: any future non-completed
-            # terminal state (truncated, cancelled) still misses its SLO
-            # below but must not masquerade as a KV rejection.
-            if rec.status == "rejected":
-                rejected += 1
-            elif rec.status == "failed":
-                failed += 1
-            if rec.slo_ttft_s > 0:
-                slo_requests += 1
+    row = serving_row("all", record_columns(result.records))
     makespan = result.makespan_s
     output_tokens = result.output_tokens
+    goodput_tokens = row["output_tokens"]
     energy = result.total_energy_j
     unavailability, recovery = _availability(result, makespan)
     fault_kinds = [e["kind"] for e in result.fault_events]
@@ -274,23 +237,23 @@ def cluster_summary(result) -> dict:
         "deployments": len(result.deployments),
         "replicas": sum(d.replicas_final for d in result.deployments),
         "replicas_peak": sum(d.replicas_peak for d in result.deployments),
-        "requests": requests,
-        "completed": len(ttfts),
-        "rejected": rejected,
-        "failed": failed,
-        "retries": retries,
-        "failovers": failovers,
-        "shed": shed,
+        "requests": row["requests"],
+        "completed": row["completed"],
+        "rejected": row["rejected"],
+        "failed": row["failed"],
+        "retries": row["retries"],
+        "failovers": row["failovers"],
+        "shed": row["shed"],
         "routed": sum(d.routed for d in result.deployments),
         "preemptions": sum(
             d.serving.preemptions for d in result.deployments
         ),
-        "slo_requests": slo_requests,
-        "slo_attainment": safe_ratio(slo_met, slo_requests, default=1.0),
-        "ttft_p50_s": percentile(ttfts, 50),
-        "ttft_p95_s": percentile(ttfts, 95),
-        "ttft_p99_s": percentile(ttfts, 99),
-        "latency_p95_s": percentile(latencies, 95),
+        "slo_requests": row["slo_requests"],
+        "slo_attainment": row["slo_attainment"],
+        "ttft_p50_s": row["ttft_p50_s"],
+        "ttft_p95_s": row["ttft_p95_s"],
+        "ttft_p99_s": row["ttft_p99_s"],
+        "latency_p95_s": row["latency_p95_s"],
         "output_tokens": output_tokens,
         "output_tokens_per_s": safe_ratio(output_tokens, makespan),
         "goodput_tokens": goodput_tokens,

@@ -2,13 +2,21 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.experiments.io import read_csv, write_csv
 from repro.experiments.tables import safe_ratio, serving_table
-from repro.serving import ServingConfig, TraceSpec, generate_trace, simulate_trace
+from repro.serving import (
+    Request,
+    ServingConfig,
+    TraceSpec,
+    generate_trace,
+    simulate_trace,
+)
 from repro.serving.metrics import metrics_table, record_rows, summary
 from repro.serving.engine import RequestRecord, ServingResult
+from repro.serving.engine.records import ColumnRecords, record_columns
 
 
 def _result(**record_kwargs):
@@ -71,18 +79,20 @@ def test_safe_ratio_edges():
 
 def test_metrics_table_rejected_only_run_is_well_formed():
     """Zero output tokens, zero busy time, no completions: every rate
-    and share must come out 0.0 / defaulted, never raise."""
-    table = metrics_table(_result(status="rejected"))
-    row = table[0]
-    assert row["scope"] == "all"
-    assert row["completed"] == 0
-    assert row["rejected"] == 1
-    assert row["output_tokens"] == 0
-    assert row["output_tokens_per_s"] == 0.0
-    assert row["energy_mj_per_token"] == 0.0
-    assert row["utilization"] == 0.0
-    assert row["ttft_mean_s"] == 0.0
-    assert row["slo_attainment"] == 1.0  # no SLO-carrying request
+    and share must come out 0.0 / defaulted, never raise — for a
+    rejected-only and a failed-only run alike."""
+    for status in ("rejected", "failed"):
+        table = metrics_table(_result(status=status))
+        row = table[0]
+        assert row["scope"] == "all"
+        assert row["completed"] == 0
+        assert row[status] == 1
+        assert row["output_tokens"] == 0
+        assert row["output_tokens_per_s"] == 0.0
+        assert row["energy_mj_per_token"] == 0.0
+        assert row["utilization"] == 0.0
+        assert row["ttft_mean_s"] == 0.0
+        assert row["slo_attainment"] == 1.0  # no SLO-carrying request
 
 
 def test_metrics_table_zero_makespan():
@@ -94,7 +104,24 @@ def test_metrics_table_zero_makespan():
 
 
 def test_serving_table_empty_rows():
-    assert serving_table([]) == []
+    assert serving_table(record_columns([])) == []
+
+
+def test_single_token_request_is_left_out_of_tpot():
+    """A completed 1-token request has a TTFT but no post-first-token
+    interval: it counts as completed and stays out of the TPOT stats."""
+    result = _result(gen_tokens=1, admit_s=1.5, first_token_s=2.0,
+                     finish_s=2.0)
+    result.records.append(RequestRecord(
+        req_id=1, rank=0, arrival_s=1.0, prompt_tokens=8, gen_tokens=3,
+        admit_s=1.0, first_token_s=2.0, finish_s=3.0,
+    ))
+    row = metrics_table(result)[0]
+    assert row["completed"] == 2
+    assert row["output_tokens"] == 4
+    assert row["ttft_mean_s"] == 1.0
+    assert row["tpot_mean_s"] == row["tpot_p99_s"] == 0.5
+    assert row["queue_mean_s"] == 0.25
 
 
 def test_metrics_table_empty_result():
@@ -119,6 +146,68 @@ def test_metrics_table_healthy_run_unchanged():
     assert row["energy_mj_per_token"] == pytest.approx(
         1e3 * result.total_energy_j / result.output_tokens
     )
+
+
+def test_metrics_table_has_a_row_per_replica_even_when_idle():
+    """Two requests on four replicas: ranks 2 and 3 serve nothing, yet
+    each still gets its row, zero-valued but carrying its counters."""
+    trace = generate_trace(TraceSpec(num_requests=2, seed=0))
+    for engine in ("event", "soa"):
+        result = simulate_trace(trace, ServingConfig(
+            model="gpt-125m", num_ranks=4, engine=engine))
+        table = metrics_table(result)
+        assert [row["scope"] for row in table] == \
+            ["all", "rank0", "rank1", "rank2", "rank3"], engine
+        for row in table[3:]:
+            assert row["requests"] == row["output_tokens"] == 0
+            assert row["slo_attainment"] == 1.0
+            assert row["energy_j"] == 0.0
+            assert row["utilization"] == 0.0
+        assert sum(row["requests"] for row in table[1:]) == 2
+
+
+# ---------------------------------------------------------------------------
+# record columns: one format for every engine
+# ---------------------------------------------------------------------------
+
+def _assert_same_columns(a, b):
+    assert list(a) == list(b)
+    for name in a:
+        assert a[name].dtype == b[name].dtype, name
+        if a[name].dtype.kind == "f":
+            assert np.array_equal(a[name], b[name], equal_nan=True), name
+        else:
+            assert np.array_equal(a[name], b[name]), name
+
+
+def test_column_records_recolumnise_identically():
+    """Materialising soa columns and columnising the records again gives
+    the same arrays, NaN timestamps included."""
+    trace = generate_trace(TraceSpec(num_requests=40, seed=1))
+    trace.append(Request(req_id=40, arrival_s=trace[-1].arrival_s,
+                         prompt_tokens=4096, gen_tokens=8))
+    result = simulate_trace(trace, ServingConfig(
+        model="gpt-125m", num_ranks=2, dpus_per_rank=1, engine="soa"))
+    assert isinstance(result.records, ColumnRecords)
+    columns = record_columns(result.records)
+    assert result.records._items is None  # columns need no objects
+    assert np.isnan(columns["finish_s"]).any()  # the rejected request
+    _assert_same_columns(record_columns(list(result.records)), columns)
+
+
+def test_chaos_records_round_trip_through_columns():
+    """Failed, shed and retried records survive columns and back."""
+    from test_goldens import _run_cluster_golden
+
+    records = _run_cluster_golden("chaos", "event").records
+    statuses = {r.status for r in records}
+    assert {"completed", "failed"} <= statuses
+    assert any(r.shed for r in records) and any(r.retries for r in records)
+    back = list(ColumnRecords(record_columns(records)))
+    assert back == records
+    for name in ("queue_s", "ttft_s", "tpot_s", "latency_s"):
+        assert record_columns(records)[name].tolist() == \
+            [getattr(r, name) for r in records], name
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +236,7 @@ def test_serving_table_splits_ttft_by_cache_hit():
     rows = record_rows(result)
     hits = [r for r in rows if r["status"] == "completed" and r["cache_hit"]]
     assert hits  # the fixture must exercise the split
-    table = serving_table(rows)
+    table = serving_table(record_columns(result.records))
     row = table[0]
     assert row["cache_hit_requests"] == len(hits)
     assert row["ttft_hit_p50_s"] > 0
